@@ -35,7 +35,10 @@
 //  * crossbar routes that differ between the U and V pipe slices (the
 //    executing pipe is a timing property the backend does not model;
 //    every route in the tree routes both pipes identically),
-//  * dynamic streams longer than LoweringSpec::max_ops (runaway guard).
+//  * dynamic streams longer than LoweringSpec::max_ops (runaway guard),
+//  * register fields naming no register (MMX index >= 8, GP index >= 16)
+//    and addresses outside the arena — the replay indexes both unchecked,
+//    so lowering is where they are proven (see native.h).
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,10 @@
 #include "backend/native.h"
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
+#include "sim/exec.h"
 #include "swar/swar.h"
 
 namespace subword::backend {
@@ -10,361 +13,252 @@ namespace sw = swar::active;
 using isa::Op;
 using swar::Vec64;
 
+static_assert(NativeOp::kConstStore64 > NativeOp::kSetImm,
+              "trace-only op codes must fit in NativeOp::code");
+
 namespace {
 
-// -- Op bodies ---------------------------------------------------------------
-// Each is a stateless function the trace points at; the replay loop calls
-// them back to back with no decode in between.
+// The NativeOp::code of an op that replays `op` itself.
+constexpr uint8_t code(Op op) { return static_cast<uint8_t>(op); }
 
-void fn_load64(const NativeOp& op, NativeState& st) {
-  st.regs.write(op.dst, Vec64{st.mem->read64(op.addr)});
+template <typename T>
+T load(const uint8_t* arena, uint32_t addr) {
+  T v;
+  std::memcpy(&v, arena + addr, sizeof v);
+  return v;
 }
 
-void fn_load32(const NativeOp& op, NativeState& st) {
-  st.regs.write(op.dst,
-                Vec64{static_cast<uint64_t>(st.mem->read32(op.addr))});
+template <typename T>
+void store(uint8_t* arena, uint32_t addr, T v) {
+  std::memcpy(arena + addr, &v, sizeof v);
 }
 
-void fn_store64(const NativeOp& op, NativeState& st) {
-  st.mem->write64(op.addr, st.regs.read(op.src).bits());
+uint64_t sext16(uint16_t v) {
+  return static_cast<uint64_t>(static_cast<int64_t>(static_cast<int16_t>(v)));
 }
 
-void fn_store32(const NativeOp& op, NativeState& st) {
-  st.mem->write32(op.addr,
-                  static_cast<uint32_t>(st.regs.read(op.src).bits()));
+uint64_t sext32(uint32_t v) {
+  return static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(v)));
 }
 
-void fn_set_imm(const NativeOp& op, NativeState& st) {
-  st.regs.write(op.dst, Vec64{op.u.imm});
-}
-
-void fn_sstore16(const NativeOp& op, NativeState& st) {
-  st.mem->write16(op.addr, static_cast<uint16_t>(op.u.imm));
-}
-
-void fn_sstore32(const NativeOp& op, NativeState& st) {
-  st.mem->write32(op.addr, static_cast<uint32_t>(op.u.imm));
-}
-
-void fn_sstore64(const NativeOp& op, NativeState& st) {
-  st.mem->write64(op.addr, op.u.imm);
-}
-
-void fn_alu(const NativeOp& op, NativeState& st) {
-  const Vec64 a = st.regs.read(op.dst);
-  const Vec64 b = st.regs.read(op.src);
-  const uint64_t count =
-      (op.flags & NativeOp::kCountImm) != 0 ? op.imm8 : b.bits();
-  st.regs.write(op.dst, op.u.alu(a, b, count));
-}
-
-// Deferred scalar plane: exact replicas of the simulator's GP semantics
-// (sim/machine.cpp) for the data-dependent slice of the scalar stream.
-
-void fn_gp_set(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = op.u.imm;
-}
-
-void fn_gp_mov(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = st.gp[op.src];
-}
-
-void fn_gp_add(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] += st.gp[op.src];
-}
-
-void fn_gp_sub(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] -= st.gp[op.src];
-}
-
-void fn_gp_mul(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] *= st.gp[op.src];
-}
-
-void fn_gp_and(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] &= st.gp[op.src];
-}
-
-void fn_gp_or(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] |= st.gp[op.src];
-}
-
-void fn_gp_xor(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] ^= st.gp[op.src];
-}
-
-void fn_gp_addi(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] += op.u.imm;
-}
-
-void fn_gp_subi(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] -= op.u.imm;
-}
-
-void fn_gp_shli(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] <<= op.imm8;
-}
-
-void fn_gp_shri(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] >>= op.imm8;
-}
-
-void fn_gp_srai(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = static_cast<uint64_t>(
-      static_cast<int64_t>(st.gp[op.dst]) >> op.imm8);
-}
-
-void fn_gp_load16(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = static_cast<uint64_t>(static_cast<int64_t>(
-      static_cast<int16_t>(st.mem->read16(op.addr))));
-}
-
-void fn_gp_load32(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = static_cast<uint64_t>(static_cast<int64_t>(
-      static_cast<int32_t>(st.mem->read32(op.addr))));
-}
-
-void fn_gp_load64(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = st.mem->read64(op.addr);
-}
-
-void fn_gp_store16(const NativeOp& op, NativeState& st) {
-  st.mem->write16(op.addr, static_cast<uint16_t>(st.gp[op.src]));
-}
-
-void fn_gp_store32(const NativeOp& op, NativeState& st) {
-  st.mem->write32(op.addr, static_cast<uint32_t>(st.gp[op.src]));
-}
-
-void fn_gp_store64(const NativeOp& op, NativeState& st) {
-  st.mem->write64(op.addr, st.gp[op.src]);
-}
-
-void fn_gp_from_mmx(const NativeOp& op, NativeState& st) {
-  st.gp[op.dst] = st.regs.read(op.src).bits() & 0xFFFFFFFFull;
-}
-
-void fn_mmx_from_gp(const NativeOp& op, NativeState& st) {
-  st.regs.write(op.dst, Vec64{st.gp[op.src] & 0xFFFFFFFFull});
-}
-
-void fn_alu_routed(const NativeOp& op, NativeState& st) {
-  Vec64 a = st.regs.read(op.dst);
-  Vec64 b = st.regs.read(op.src);
-  const core::Route& r = st.routes[op.route];
-  // The route's U and V slices are verified identical at lowering time, so
-  // gathering through the U slice is pipe-exact.
-  if ((op.flags & NativeOp::kRouteA) != 0) {
-    a = core::apply_route(r, sim::Pipe::U, 0, st.regs, a);
-  }
-  if ((op.flags & NativeOp::kRouteB) != 0) {
-    b = core::apply_route(r, sim::Pipe::U, 1, st.regs, b);
+// dst = f(a, b, count) for an MMX data op, gathering crossbar-routed
+// operands first — mirrors the simulator's data-op path (sim/machine.cpp).
+// Inlined into each case of run_trace's switch, so every op costs one
+// dispatch.
+template <typename F>
+[[gnu::always_inline]] inline void alu(const NativeOp& op, NativeState& st, F f) {
+  Vec64 a = st.regs.mm[op.dst];
+  Vec64 b = st.regs.mm[op.src];
+  if (op.route >= 0) {
+    // The route's U and V slices are verified identical at lowering time,
+    // so gathering through the U slice is pipe-exact.
+    const core::Route& r = st.routes[op.route];
+    if ((op.flags & NativeOp::kRouteA) != 0) {
+      a = core::apply_route(r, sim::Pipe::U, 0, st.regs, a);
+    }
+    if ((op.flags & NativeOp::kRouteB) != 0) {
+      b = core::apply_route(r, sim::Pipe::U, 1, st.regs, b);
+    }
   }
   // Shift counts come from the post-route operand, exactly as the
-  // simulator computes them (sim/machine.cpp).
-  const uint64_t count =
-      (op.flags & NativeOp::kCountImm) != 0 ? op.imm8 : b.bits();
-  st.regs.write(op.dst, op.u.alu(a, b, count));
+  // simulator computes them.
+  const uint64_t count = (op.flags & NativeOp::kCountImm) != 0 ? op.imm8 : b.bits();
+  st.regs.mm[op.dst] = f(a, b, count);
+}
+
+// dst = F(dst, src): packed arithmetic, logic, compare, pack and unpack.
+template <Vec64 (*F)(Vec64, Vec64)>
+[[gnu::always_inline]] inline void binop(const NativeOp& op, NativeState& st) {
+  alu(op, st, [](Vec64 a, Vec64 b, uint64_t) { return F(a, b); });
+}
+
+// dst = F(dst, count): packed shifts.
+template <Vec64 (*F)(Vec64, uint64_t)>
+[[gnu::always_inline]] inline void shift(const NativeOp& op, NativeState& st) {
+  alu(op, st, [](Vec64 a, Vec64, uint64_t c) { return F(a, c); });
+}
+
+// Append a memory op, growing the trace's footprint (and store-page mask)
+// to cover its `len` bytes at op.addr.
+void push_access(NativeTrace& t, const NativeOp& op, uint32_t len,
+                 bool is_store) {
+  t.footprint = std::max<uint64_t>(t.footprint, uint64_t{op.addr} + len);
+  if (is_store) sim::mark_pages(t.store_pages, op.addr, len);
+  t.ops.push_back(op);
 }
 
 }  // namespace
 
 void run_trace(const NativeTrace& t, NativeState& st) {
+  // The one bounds check of the replay: lowering proved every op's
+  // address below t.footprint and every register index in range.
+  uint8_t* const mem = st.mem->raw_arena(t.footprint, t.store_pages);
   st.routes = t.routes.data();
-  for (const NativeOp& op : t.ops) op.fn(op, st);
-}
+  auto& mm = st.regs.mm;
+  auto& gp = st.gp;
+  for (const NativeOp& op : t.ops) {
+    switch (op.code) {
+      // -- MMX plane: memory and constants ---------------------------------
+      case code(Op::MovqLoad):
+        mm[op.dst] = Vec64{load<uint64_t>(mem, op.addr)};
+        break;
+      case code(Op::MovdLoad):
+        mm[op.dst] = Vec64{load<uint32_t>(mem, op.addr)};
+        break;
+      case code(Op::MovqStore):
+        store(mem, op.addr, mm[op.src].bits());
+        break;
+      case code(Op::MovdStore):
+        store(mem, op.addr, static_cast<uint32_t>(mm[op.src].bits()));
+        break;
+      case NativeOp::kSetImm:
+        mm[op.dst] = Vec64{op.imm};
+        break;
+      case NativeOp::kConstStore16:
+        store(mem, op.addr, static_cast<uint16_t>(op.imm));
+        break;
+      case NativeOp::kConstStore32:
+        store(mem, op.addr, static_cast<uint32_t>(op.imm));
+        break;
+      case NativeOp::kConstStore64:
+        store(mem, op.addr, op.imm);
+        break;
 
-NativeOp::AluFn resolve_alu(isa::Op op) {
-  // Mirrors sim::mmx_alu (sim/exec.cpp) case for case, but resolves the
-  // host SWAR function once at lowering time instead of per execution.
-  switch (op) {
-    case Op::MovqRR:
-      return +[](Vec64, Vec64 b, uint64_t) { return b; };
+      // -- Deferred scalar plane: the simulator's GP semantics -------------
+      case code(Op::Li): gp[op.dst] = op.imm; break;
+      case code(Op::SMov): gp[op.dst] = gp[op.src]; break;
+      case code(Op::SAdd): gp[op.dst] += gp[op.src]; break;
+      case code(Op::SSub): gp[op.dst] -= gp[op.src]; break;
+      case code(Op::SMul): gp[op.dst] *= gp[op.src]; break;
+      case code(Op::SAnd): gp[op.dst] &= gp[op.src]; break;
+      case code(Op::SOr): gp[op.dst] |= gp[op.src]; break;
+      case code(Op::SXor): gp[op.dst] ^= gp[op.src]; break;
+      case code(Op::SAddi): gp[op.dst] += op.imm; break;
+      case code(Op::SSubi): gp[op.dst] -= op.imm; break;
+      case code(Op::SShli): gp[op.dst] <<= op.imm8; break;
+      case code(Op::SShri): gp[op.dst] >>= op.imm8; break;
+      case code(Op::SSrai):
+        gp[op.dst] =
+            static_cast<uint64_t>(static_cast<int64_t>(gp[op.dst]) >> op.imm8);
+        break;
+      case code(Op::SLoad16):
+        gp[op.dst] = sext16(load<uint16_t>(mem, op.addr));
+        break;
+      case code(Op::SLoad32):
+        gp[op.dst] = sext32(load<uint32_t>(mem, op.addr));
+        break;
+      case code(Op::SLoad64):
+        gp[op.dst] = load<uint64_t>(mem, op.addr);
+        break;
+      case code(Op::SStore16):
+        store(mem, op.addr, static_cast<uint16_t>(gp[op.src]));
+        break;
+      case code(Op::SStore32):
+        store(mem, op.addr, static_cast<uint32_t>(gp[op.src]));
+        break;
+      case code(Op::SStore64):
+        store(mem, op.addr, gp[op.src]);
+        break;
+      case code(Op::MovdFromMmx):
+        gp[op.dst] = mm[op.src].bits() & 0xFFFFFFFFull;
+        break;
+      case code(Op::MovdToMmx):
+        mm[op.dst] = Vec64{gp[op.src] & 0xFFFFFFFFull};
+        break;
 
-    case Op::Paddb:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::add<uint8_t>(a, b); };
-    case Op::Paddw:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::add<uint16_t>(a, b); };
-    case Op::Paddd:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::add<uint32_t>(a, b); };
-    case Op::Psubb:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::sub<uint8_t>(a, b); };
-    case Op::Psubw:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::sub<uint16_t>(a, b); };
-    case Op::Psubd:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::sub<uint32_t>(a, b); };
+      // -- MMX data ops (mirrors sim::mmx_alu case for case) ---------------
+      case code(Op::MovqRR):
+        alu(op, st, [](Vec64, Vec64 b, uint64_t) { return b; });
+        break;
+      case code(Op::Paddb): binop<sw::add<uint8_t>>(op, st); break;
+      case code(Op::Paddw): binop<sw::add<uint16_t>>(op, st); break;
+      case code(Op::Paddd): binop<sw::add<uint32_t>>(op, st); break;
+      case code(Op::Psubb): binop<sw::sub<uint8_t>>(op, st); break;
+      case code(Op::Psubw): binop<sw::sub<uint16_t>>(op, st); break;
+      case code(Op::Psubd): binop<sw::sub<uint32_t>>(op, st); break;
+      case code(Op::Paddsb): binop<sw::add_sat<int8_t>>(op, st); break;
+      case code(Op::Paddsw): binop<sw::add_sat<int16_t>>(op, st); break;
+      case code(Op::Paddusb): binop<sw::add_sat<uint8_t>>(op, st); break;
+      case code(Op::Paddusw): binop<sw::add_sat<uint16_t>>(op, st); break;
+      case code(Op::Psubsb): binop<sw::sub_sat<int8_t>>(op, st); break;
+      case code(Op::Psubsw): binop<sw::sub_sat<int16_t>>(op, st); break;
+      case code(Op::Psubusb): binop<sw::sub_sat<uint8_t>>(op, st); break;
+      case code(Op::Psubusw): binop<sw::sub_sat<uint16_t>>(op, st); break;
+      case code(Op::Pmullw): binop<sw::mullo16>(op, st); break;
+      case code(Op::Pmulhw): binop<sw::mulhi16>(op, st); break;
+      case code(Op::Pmaddwd): binop<sw::maddwd>(op, st); break;
+      case code(Op::Pcmpeqb): binop<sw::cmpeq<uint8_t>>(op, st); break;
+      case code(Op::Pcmpeqw): binop<sw::cmpeq<uint16_t>>(op, st); break;
+      case code(Op::Pcmpeqd): binop<sw::cmpeq<uint32_t>>(op, st); break;
+      case code(Op::Pcmpgtb): binop<sw::cmpgt<int8_t>>(op, st); break;
+      case code(Op::Pcmpgtw): binop<sw::cmpgt<int16_t>>(op, st); break;
+      case code(Op::Pcmpgtd): binop<sw::cmpgt<int32_t>>(op, st); break;
+      case code(Op::Pand): binop<sw::and_>(op, st); break;
+      case code(Op::Pandn): binop<sw::andn>(op, st); break;
+      case code(Op::Por): binop<sw::or_>(op, st); break;
+      case code(Op::Pxor): binop<sw::xor_>(op, st); break;
+      case code(Op::Psllw): shift<sw::shl<uint16_t>>(op, st); break;
+      case code(Op::Pslld): shift<sw::shl<uint32_t>>(op, st); break;
+      case code(Op::Psllq): shift<sw::shl<uint64_t>>(op, st); break;
+      case code(Op::Psrlw): shift<sw::shr_logical<uint16_t>>(op, st); break;
+      case code(Op::Psrld): shift<sw::shr_logical<uint32_t>>(op, st); break;
+      case code(Op::Psrlq): shift<sw::shr_logical<uint64_t>>(op, st); break;
+      case code(Op::Psraw): shift<sw::shr_arith<int16_t>>(op, st); break;
+      case code(Op::Psrad): shift<sw::shr_arith<int32_t>>(op, st); break;
+      case code(Op::Packsswb): binop<sw::pack_sswb>(op, st); break;
+      case code(Op::Packssdw): binop<sw::pack_ssdw>(op, st); break;
+      case code(Op::Packuswb): binop<sw::pack_uswb>(op, st); break;
+      case code(Op::Punpcklbw): binop<sw::unpack_lo<uint8_t>>(op, st); break;
+      case code(Op::Punpcklwd): binop<sw::unpack_lo<uint16_t>>(op, st); break;
+      case code(Op::Punpckldq): binop<sw::unpack_lo<uint32_t>>(op, st); break;
+      case code(Op::Punpckhbw): binop<sw::unpack_hi<uint8_t>>(op, st); break;
+      case code(Op::Punpckhwd): binop<sw::unpack_hi<uint16_t>>(op, st); break;
+      case code(Op::Punpckhdq): binop<sw::unpack_hi<uint32_t>>(op, st); break;
 
-    case Op::Paddsb:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::add_sat<int8_t>(a, b); };
-    case Op::Paddsw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::add_sat<int16_t>(a, b);
-      };
-    case Op::Paddusb:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::add_sat<uint8_t>(a, b);
-      };
-    case Op::Paddusw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::add_sat<uint16_t>(a, b);
-      };
-    case Op::Psubsb:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::sub_sat<int8_t>(a, b); };
-    case Op::Psubsw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::sub_sat<int16_t>(a, b);
-      };
-    case Op::Psubusb:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::sub_sat<uint8_t>(a, b);
-      };
-    case Op::Psubusw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::sub_sat<uint16_t>(a, b);
-      };
-
-    case Op::Pmullw:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::mullo16(a, b); };
-    case Op::Pmulhw:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::mulhi16(a, b); };
-    case Op::Pmaddwd:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::maddwd(a, b); };
-
-    case Op::Pcmpeqb:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpeq<uint8_t>(a, b); };
-    case Op::Pcmpeqw:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpeq<uint16_t>(a, b); };
-    case Op::Pcmpeqd:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpeq<uint32_t>(a, b); };
-    case Op::Pcmpgtb:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpgt<int8_t>(a, b); };
-    case Op::Pcmpgtw:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpgt<int16_t>(a, b); };
-    case Op::Pcmpgtd:
-      return
-          +[](Vec64 a, Vec64 b, uint64_t) { return sw::cmpgt<int32_t>(a, b); };
-
-    case Op::Pand:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::and_(a, b); };
-    case Op::Pandn:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::andn(a, b); };
-    case Op::Por:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::or_(a, b); };
-    case Op::Pxor:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::xor_(a, b); };
-
-    case Op::Psllw:
-      return +[](Vec64 a, Vec64, uint64_t c) { return sw::shl<uint16_t>(a, c); };
-    case Op::Pslld:
-      return +[](Vec64 a, Vec64, uint64_t c) { return sw::shl<uint32_t>(a, c); };
-    case Op::Psllq:
-      return +[](Vec64 a, Vec64, uint64_t c) { return sw::shl<uint64_t>(a, c); };
-    case Op::Psrlw:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_logical<uint16_t>(a, c);
-      };
-    case Op::Psrld:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_logical<uint32_t>(a, c);
-      };
-    case Op::Psrlq:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_logical<uint64_t>(a, c);
-      };
-    case Op::Psraw:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_arith<int16_t>(a, c);
-      };
-    case Op::Psrad:
-      return +[](Vec64 a, Vec64, uint64_t c) {
-        return sw::shr_arith<int32_t>(a, c);
-      };
-
-    case Op::Packsswb:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::pack_sswb(a, b); };
-    case Op::Packssdw:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::pack_ssdw(a, b); };
-    case Op::Packuswb:
-      return +[](Vec64 a, Vec64 b, uint64_t) { return sw::pack_uswb(a, b); };
-
-    case Op::Punpcklbw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_lo<uint8_t>(a, b);
-      };
-    case Op::Punpcklwd:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_lo<uint16_t>(a, b);
-      };
-    case Op::Punpckldq:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_lo<uint32_t>(a, b);
-      };
-    case Op::Punpckhbw:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_hi<uint8_t>(a, b);
-      };
-    case Op::Punpckhwd:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_hi<uint16_t>(a, b);
-      };
-    case Op::Punpckhdq:
-      return +[](Vec64 a, Vec64 b, uint64_t) {
-        return sw::unpack_hi<uint32_t>(a, b);
-      };
-
-    default:
-      return nullptr;
+      default:
+        // Unreachable: the append_* builders only emit the codes above.
+        throw std::logic_error("run_trace: corrupt op code");
+    }
   }
 }
 
 void append_load64(NativeTrace& t, uint8_t dst, uint32_t addr) {
   NativeOp op;
-  op.fn = fn_load64;
+  op.code = code(Op::MovqLoad);
   op.dst = dst;
   op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, op, 8, /*is_store=*/false);
 }
 
 void append_load32(NativeTrace& t, uint8_t dst, uint32_t addr) {
   NativeOp op;
-  op.fn = fn_load32;
+  op.code = code(Op::MovdLoad);
   op.dst = dst;
   op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, op, 4, /*is_store=*/false);
 }
 
 void append_store64(NativeTrace& t, uint8_t src, uint32_t addr) {
   NativeOp op;
-  op.fn = fn_store64;
+  op.code = code(Op::MovqStore);
   op.src = src;
   op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, op, 8, /*is_store=*/true);
 }
 
 void append_store32(NativeTrace& t, uint8_t src, uint32_t addr) {
   NativeOp op;
-  op.fn = fn_store32;
+  op.code = code(Op::MovdStore);
   op.src = src;
   op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, op, 4, /*is_store=*/true);
 }
 
 void append_set_imm(NativeTrace& t, uint8_t dst, uint64_t value) {
   NativeOp op;
-  op.fn = fn_set_imm;
+  op.code = NativeOp::kSetImm;
   op.dst = dst;
-  op.u.imm = value;
+  op.imm = value;
   t.ops.push_back(op);
 }
 
@@ -372,108 +266,109 @@ void append_scalar_store(NativeTrace& t, int width_bytes, uint32_t addr,
                          uint64_t value) {
   NativeOp op;
   switch (width_bytes) {
-    case 2: op.fn = fn_sstore16; break;
-    case 4: op.fn = fn_sstore32; break;
-    case 8: op.fn = fn_sstore64; break;
+    case 2: op.code = NativeOp::kConstStore16; break;
+    case 4: op.code = NativeOp::kConstStore32; break;
+    case 8: op.code = NativeOp::kConstStore64; break;
     default:
       throw std::logic_error("append_scalar_store: bad width");
   }
   op.addr = addr;
-  op.u.imm = value;
-  t.ops.push_back(op);
+  op.imm = value;
+  push_access(t, op, static_cast<uint32_t>(width_bytes), /*is_store=*/true);
 }
 
 void append_gp_set(NativeTrace& t, uint8_t dst, uint64_t value) {
   NativeOp op;
-  op.fn = fn_gp_set;
+  op.code = code(Op::Li);
   op.dst = dst;
-  op.u.imm = value;
+  op.imm = value;
   t.ops.push_back(op);
 }
 
 void append_gp_mov(NativeTrace& t, uint8_t dst, uint8_t src) {
   NativeOp op;
-  op.fn = fn_gp_mov;
+  op.code = code(Op::SMov);
   op.dst = dst;
   op.src = src;
   t.ops.push_back(op);
 }
 
 void append_gp_binop(NativeTrace& t, isa::Op o, uint8_t dst, uint8_t src) {
-  NativeOp op;
   switch (o) {
-    case Op::SAdd: op.fn = fn_gp_add; break;
-    case Op::SSub: op.fn = fn_gp_sub; break;
-    case Op::SMul: op.fn = fn_gp_mul; break;
-    case Op::SAnd: op.fn = fn_gp_and; break;
-    case Op::SOr: op.fn = fn_gp_or; break;
-    case Op::SXor: op.fn = fn_gp_xor; break;
+    case Op::SAdd:
+    case Op::SSub:
+    case Op::SMul:
+    case Op::SAnd:
+    case Op::SOr:
+    case Op::SXor:
+      break;
     default:
       throw std::logic_error("append_gp_binop: not a GP binary op");
   }
+  NativeOp op;
+  op.code = code(o);
   op.dst = dst;
   op.src = src;
   t.ops.push_back(op);
 }
 
 void append_gp_immop(NativeTrace& t, isa::Op o, uint8_t dst, int64_t imm) {
-  NativeOp op;
-  switch (o) {
-    case Op::SAddi: op.fn = fn_gp_addi; break;
-    case Op::SSubi: op.fn = fn_gp_subi; break;
-    default:
-      throw std::logic_error("append_gp_immop: not a GP immediate op");
+  if (o != Op::SAddi && o != Op::SSubi) {
+    throw std::logic_error("append_gp_immop: not a GP immediate op");
   }
+  NativeOp op;
+  op.code = code(o);
   op.dst = dst;
-  op.u.imm = static_cast<uint64_t>(imm);
+  op.imm = static_cast<uint64_t>(imm);
   t.ops.push_back(op);
 }
 
 void append_gp_shift(NativeTrace& t, isa::Op o, uint8_t dst, uint8_t imm8) {
-  NativeOp op;
-  switch (o) {
-    case Op::SShli: op.fn = fn_gp_shli; break;
-    case Op::SShri: op.fn = fn_gp_shri; break;
-    case Op::SSrai: op.fn = fn_gp_srai; break;
-    default:
-      throw std::logic_error("append_gp_shift: not a GP shift op");
+  if (o != Op::SShli && o != Op::SShri && o != Op::SSrai) {
+    throw std::logic_error("append_gp_shift: not a GP shift op");
   }
+  NativeOp op;
+  op.code = code(o);
   op.dst = dst;
   op.imm8 = imm8;
   t.ops.push_back(op);
 }
 
 void append_gp_load(NativeTrace& t, isa::Op o, uint8_t dst, uint32_t addr) {
-  NativeOp op;
+  uint32_t len = 0;
   switch (o) {
-    case Op::SLoad16: op.fn = fn_gp_load16; break;
-    case Op::SLoad32: op.fn = fn_gp_load32; break;
-    case Op::SLoad64: op.fn = fn_gp_load64; break;
+    case Op::SLoad16: len = 2; break;
+    case Op::SLoad32: len = 4; break;
+    case Op::SLoad64: len = 8; break;
     default:
       throw std::logic_error("append_gp_load: not a GP load op");
   }
+  NativeOp op;
+  op.code = code(o);
   op.dst = dst;
   op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, op, len, /*is_store=*/false);
 }
 
 void append_gp_store(NativeTrace& t, isa::Op o, uint8_t src, uint32_t addr) {
-  NativeOp op;
+  uint32_t len = 0;
   switch (o) {
-    case Op::SStore16: op.fn = fn_gp_store16; break;
-    case Op::SStore32: op.fn = fn_gp_store32; break;
-    case Op::SStore64: op.fn = fn_gp_store64; break;
+    case Op::SStore16: len = 2; break;
+    case Op::SStore32: len = 4; break;
+    case Op::SStore64: len = 8; break;
     default:
       throw std::logic_error("append_gp_store: not a GP store op");
   }
+  NativeOp op;
+  op.code = code(o);
   op.src = src;
   op.addr = addr;
-  t.ops.push_back(op);
+  push_access(t, op, len, /*is_store=*/true);
 }
 
 void append_gp_from_mmx(NativeTrace& t, uint8_t gp_dst, uint8_t mm_src) {
   NativeOp op;
-  op.fn = fn_gp_from_mmx;
+  op.code = code(Op::MovdFromMmx);
   op.dst = gp_dst;
   op.src = mm_src;
   t.ops.push_back(op);
@@ -481,7 +376,7 @@ void append_gp_from_mmx(NativeTrace& t, uint8_t gp_dst, uint8_t mm_src) {
 
 void append_mmx_from_gp(NativeTrace& t, uint8_t mm_dst, uint8_t gp_src) {
   NativeOp op;
-  op.fn = fn_mmx_from_gp;
+  op.code = code(Op::MovdToMmx);
   op.dst = mm_dst;
   op.src = gp_src;
   t.ops.push_back(op);
@@ -489,12 +384,11 @@ void append_mmx_from_gp(NativeTrace& t, uint8_t mm_dst, uint8_t gp_src) {
 
 void append_alu(NativeTrace& t, const isa::Inst& in, int32_t route,
                 uint8_t route_flags) {
-  NativeOp op;
-  op.fn = route >= 0 ? fn_alu_routed : fn_alu;
-  op.u.alu = resolve_alu(in.op);
-  if (op.u.alu == nullptr) {
+  if (!sim::has_alu_semantics(in.op)) {
     throw std::logic_error("append_alu: opcode has no ALU semantics");
   }
+  NativeOp op;
+  op.code = code(in.op);
   op.dst = in.dst;
   op.src = in.src;
   op.route = route;

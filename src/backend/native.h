@@ -7,10 +7,10 @@
 // stream, pre-decoded into host SWAR operations (src/swar — SSE2 where
 // available, the portable bit-trick backend otherwise) with every address,
 // shift count, crossbar route and scalar side effect resolved at prepare
-// time. Execution (run_trace) is therefore a tight loop over
-// function-pointer ops against a flat MMX register file and the memory
-// arena — no decode, no pairing, no branch-predictor modeling, no stats
-// bookkeeping.
+// time. Execution (run_trace) is therefore one switch per op against a flat
+// MMX register file and the memory arena — no decode, no pairing, no
+// branch-predictor modeling, no stats bookkeeping, and no per-op bounds
+// checks.
 //
 // Invariants:
 //  * A NativeTrace is immutable after lowering and safe to replay
@@ -19,6 +19,10 @@
 //    byte-identical to simulating the program it was lowered from, for
 //    any input data (the lowering walker rejects programs for which this
 //    cannot be proven — see lowering.h).
+//  * Safety is proven at lowering, checked once per replay: every address
+//    lies below NativeTrace::footprint and every register index is in
+//    range, so run_trace checks the arena size once (a typed throw, never
+//    an out-of-bounds access) and then indexes memory and registers raw.
 #pragma once
 
 #include <array>
@@ -29,12 +33,8 @@
 #include "isa/inst.h"
 #include "sim/memory.h"
 #include "sim/regfile.h"
-#include "swar/vec64.h"
 
 namespace subword::backend {
-
-struct NativeOp;
-struct NativeTrace;
 
 // Mutable execution state of one replay: the flat register files and the
 // arena the ops read and write. `routes` aliases the owning trace's route
@@ -49,12 +49,17 @@ struct NativeState {
   const core::Route* routes = nullptr;
 };
 
-// One pre-decoded operation. `fn` encodes the kind (load/store/alu/...);
-// the remaining fields are its pre-resolved operands. Kept compact — a
-// trace holds the whole unrolled dynamic stream.
+// One pre-decoded operation. `code` says what it does: an isa::Op value
+// for ops that replay that instruction with pre-resolved operands (the MMX
+// data ops, loads and stores at a resolved `addr`, the deferred scalar
+// ops), or one of the trace-only codes below. Kept compact — a trace holds
+// the whole unrolled dynamic stream.
 struct NativeOp {
-  using Fn = void (*)(const NativeOp&, NativeState&);
-  using AluFn = swar::Vec64 (*)(swar::Vec64, swar::Vec64, uint64_t);
+  // Trace-only codes, numbered after the last isa::Op.
+  static constexpr uint8_t kSetImm = isa::kOpCount;       // mm[dst] = imm
+  static constexpr uint8_t kConstStore16 = kSetImm + 1;   // [addr] = imm
+  static constexpr uint8_t kConstStore32 = kSetImm + 2;
+  static constexpr uint8_t kConstStore64 = kSetImm + 3;
 
   // Operand-routing flags (crossbar-routed ALU ops) and the shift-count
   // source for shift ops.
@@ -62,17 +67,14 @@ struct NativeOp {
   static constexpr uint8_t kRouteB = 2;      // operand b gathered via route
   static constexpr uint8_t kCountImm = 4;    // shift count from imm8
 
-  Fn fn = nullptr;
-  union {
-    AluFn alu;      // ALU ops: the resolved host SWAR operation
-    uint64_t imm;   // set-immediate / recorded scalar-store value
-  } u{};
-  uint32_t addr = 0;      // resolved arena address (loads/stores)
-  int32_t route = -1;     // index into NativeTrace::routes, -1 = unrouted
+  uint8_t code = kSetImm;
   uint8_t dst = 0;
   uint8_t src = 0;
-  uint8_t imm8 = 0;       // shift count when kCountImm
+  uint8_t imm8 = 0;       // shift count when kCountImm / GP shifts
   uint8_t flags = 0;
+  int32_t route = -1;     // index into NativeTrace::routes, -1 = unrouted
+  uint32_t addr = 0;      // resolved arena address (loads/stores)
+  uint64_t imm = 0;       // set-immediate / recorded scalar-store value
 };
 
 // The immutable lowering product cached alongside a PreparedProgram.
@@ -86,18 +88,23 @@ struct NativeTrace {
   // (reported as KernelRun::stats.instructions for parity with the
   // simulator's accounting).
   uint64_t source_instructions = 0;
+  // One past the highest arena byte any op loads or stores. Lowering
+  // proves every address in range of its arena, so a replay arena at least
+  // this large needs no per-op bounds check.
+  uint64_t footprint = 0;
+  // The pages any op stores to; a replay marks them dirty in its arena so
+  // the arena's next clear() zeroes them (see sim/memory.h).
+  sim::PageMask store_pages;
 };
 
 // Replay the trace. st.mem must be the arena the kernel's init_memory /
 // bind_input populated; st.regs should start zeroed (architectural reset
-// state, matching a fresh sim::Machine).
+// state, matching a fresh sim::Machine). Throws std::out_of_range when the
+// arena is smaller than t.footprint (see sim::Memory::raw_arena); the
+// trace's store pages are marked dirty in st.mem.
 void run_trace(const NativeTrace& t, NativeState& st);
 
 // -- Lowering building blocks (used by lowering.cpp; exposed for tests) ------
-
-// The host SWAR function implementing an MMX data op (nullptr when the op
-// has no ALU semantics).
-[[nodiscard]] NativeOp::AluFn resolve_alu(isa::Op op);
 
 // Trace-builder helpers: each appends one pre-resolved op.
 //

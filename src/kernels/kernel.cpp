@@ -20,9 +20,14 @@ bool MediaKernel::verify_bound(const sim::Memory& /*mem*/,
 int compare_i16(const sim::Memory& mem, uint64_t addr,
                 const std::vector<int16_t>& expected,
                 const std::string& what, bool log_mismatches) {
+  // One range check and one memcmp for the common, verified case; the
+  // per-sample walk only runs to count and report a mismatch.
+  const auto bytes = mem.view(addr, 2 * expected.size());
+  if (std::memcmp(bytes.data(), expected.data(), bytes.size()) == 0) return 0;
   int mismatches = 0;
   for (size_t i = 0; i < expected.size(); ++i) {
-    const auto got = static_cast<int16_t>(mem.read16(addr + 2 * i));
+    int16_t got;
+    std::memcpy(&got, bytes.data() + 2 * i, 2);
     if (got != expected[i]) {
       if (log_mismatches && mismatches < 5) {
         std::fprintf(stderr, "%s: mismatch at %zu: got %d want %d\n",

@@ -133,8 +133,7 @@ KernelRun execute_prepared(const MediaKernel& k, const PreparedProgram& p,
   // Copy back only verified outputs: a failed verification must never
   // clobber the caller's buffer with divergent data.
   if (bound && out.verified && !buffers->output.empty()) {
-    const auto bytes = m->memory().read_vector<uint8_t>(spec.output_addr,
-                                                        spec.output_bytes);
+    const auto bytes = m->memory().view(spec.output_addr, spec.output_bytes);
     std::copy(bytes.begin(), bytes.end(), buffers->output.begin());
   }
   if (spu) out.spu = spu->run_stats();
@@ -203,8 +202,7 @@ KernelRun execute_native(const MediaKernel& k, const PreparedProgram& p,
   out.verified = bound_input ? k.verify_bound(*mem, buffers->input)
                              : k.verify(*mem);
   if (bound && out.verified && !buffers->output.empty()) {
-    const auto bytes =
-        mem->read_vector<uint8_t>(spec.output_addr, spec.output_bytes);
+    const auto bytes = mem->view(spec.output_addr, spec.output_bytes);
     std::copy(bytes.begin(), bytes.end(), buffers->output.begin());
   }
   return out;

@@ -149,9 +149,11 @@ void lower_native(const MediaKernel& k, PreparedProgram& p);
 // initialised and verified exactly as execute_prepared does, but the
 // program body runs as the pre-decoded host-SWAR trace — no cycle
 // simulation, so the returned stats carry instruction counts only. When
-// `scratch` is non-null and sized like the arena it is cleared and reused
-// (the batch runtime's per-worker native arena); it is the caller's
-// exclusive resource, exactly like execute_prepared's scratch Machine.
+// `scratch` is non-null and sized like the arena it is reused (the batch
+// runtime's per-worker native arena): Memory::clear zeroes only the pages
+// earlier jobs dirtied, which leaves it exactly as a fresh arena. It is the
+// caller's exclusive resource, exactly like execute_prepared's scratch
+// Machine.
 [[nodiscard]] KernelRun execute_native(const MediaKernel& k,
                                        const PreparedProgram& p,
                                        sim::Memory* scratch = nullptr,

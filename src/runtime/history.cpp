@@ -121,6 +121,9 @@ std::optional<HistoryStats> HistoryTable::lookup(const HistoryKey& key) const {
     out.invalidations = cell->invalidations.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (cell->seq.load(std::memory_order_relaxed) != s0) continue;
+    // record() publishes the cell before its first sample lands; until
+    // then the key has no history.
+    if (out.count == 0) return std::nullopt;
     out.variance =
         out.count > 1 ? m2 / static_cast<double>(out.count - 1) : 0.0;
     return out;
@@ -134,6 +137,7 @@ std::optional<HistoryStats> HistoryTable::lookup(const HistoryKey& key) const {
   out.mean = cell->mean.load(std::memory_order_relaxed);
   out.drift_watermark = cell->drift_watermark.load(std::memory_order_relaxed);
   out.invalidations = cell->invalidations.load(std::memory_order_relaxed);
+  if (out.count == 0) return std::nullopt;
   out.variance = out.count > 1 ? m2 / static_cast<double>(out.count - 1) : 0.0;
   return out;
 }

@@ -142,7 +142,8 @@ class HistoryTable {
   // first use). Serializes only with concurrent record()s of the same key.
   void record(const HistoryKey& key, double value);
 
-  // Lock-free consistent snapshot; nullopt for a never-recorded key.
+  // Lock-free consistent snapshot; nullopt for a key with no completed
+  // record() yet.
   [[nodiscard]] std::optional<HistoryStats> lookup(
       const HistoryKey& key) const;
 

@@ -1,14 +1,28 @@
 #include "sim/memory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace subword::sim {
 
-Memory::Memory(size_t size_bytes) : bytes_(size_bytes, 0) {}
+Memory::Memory(size_t size_bytes)
+    : bytes_(size_bytes, 0),
+      dirty_((((size_bytes + kPageBytes - 1) >> kPageShift) + 63) / 64, 0) {}
 
-void Memory::clear() { std::fill(bytes_.begin(), bytes_.end(), 0); }
+void Memory::clear() {
+  for (size_t w = 0; w < dirty_.size(); ++w) {
+    for (uint64_t bits = dirty_[w]; bits != 0; bits &= bits - 1) {
+      const size_t first =
+          (w * 64 + static_cast<size_t>(std::countr_zero(bits))) * kPageBytes;
+      std::memset(bytes_.data() + first, 0,
+                  std::min(kPageBytes, bytes_.size() - first));
+    }
+    dirty_[w] = 0;
+  }
+}
 
 void Memory::check_range(uint64_t addr, uint64_t len) const {
   if (addr + len > bytes_.size() || addr + len < addr) {
@@ -16,6 +30,26 @@ void Memory::check_range(uint64_t addr, uint64_t len) const {
                             std::to_string(addr) +
                             " len=" + std::to_string(len));
   }
+}
+
+uint8_t* Memory::writable(uint64_t addr, uint64_t len) {
+  check_range(addr, len);
+  mark_pages(dirty_, addr, len);
+  return bytes_.data() + addr;
+}
+
+std::span<const uint8_t> Memory::view(uint64_t addr, uint64_t len) const {
+  check_range(addr, len);
+  return {bytes_.data() + addr, static_cast<size_t>(len)};
+}
+
+uint8_t* Memory::raw_arena(uint64_t extent,
+                           std::span<const uint64_t> store_pages) {
+  check_range(0, extent);
+  // Every store page lies below `extent`, so the mask fits the bitmap.
+  const size_t words = std::min(store_pages.size(), dirty_.size());
+  for (size_t w = 0; w < words; ++w) dirty_[w] |= store_pages[w];
+  return bytes_.data();
 }
 
 uint8_t Memory::read8(uint64_t addr) const {
@@ -47,14 +81,10 @@ uint64_t Memory::read64(uint64_t addr) const {
   return v;
 }
 
-void Memory::write8(uint64_t addr, uint8_t v) {
-  check_range(addr, 1);
-  bytes_[addr] = v;
-}
+void Memory::write8(uint64_t addr, uint8_t v) { *writable(addr, 1) = v; }
 
 void Memory::write16(uint64_t addr, uint16_t v) {
-  check_range(addr, 2);
-  std::memcpy(bytes_.data() + addr, &v, 2);
+  std::memcpy(writable(addr, 2), &v, 2);
 }
 
 void Memory::write32(uint64_t addr, uint32_t v) {
@@ -62,13 +92,11 @@ void Memory::write32(uint64_t addr, uint32_t v) {
     device_->write32(addr - device_base_, v);
     return;
   }
-  check_range(addr, 4);
-  std::memcpy(bytes_.data() + addr, &v, 4);
+  std::memcpy(writable(addr, 4), &v, 4);
 }
 
 void Memory::write64(uint64_t addr, uint64_t v) {
-  check_range(addr, 8);
-  std::memcpy(bytes_.data() + addr, &v, 8);
+  std::memcpy(writable(addr, 8), &v, 8);
 }
 
 void Memory::map_device(uint64_t base, uint64_t window_size, Device* dev) {

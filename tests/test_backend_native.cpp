@@ -11,8 +11,12 @@
 // paths for programs that genuinely cannot be lowered.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -251,6 +255,107 @@ backend::LoweringSpec plain_spec() {
   backend::LoweringSpec spec;
   spec.mem_bytes = kernels::kMemBytes;
   return spec;
+}
+
+// --- arena reuse ---------------------------------------------------------------
+// Reused arenas reset only the pages earlier jobs dirtied (sim::Memory's
+// dirty-page contract), so a job on a reused arena must end byte-identical
+// to the same job on a fresh one.
+
+// In-contract caller bytes for a kernel's bound input (i16 lanes in the
+// range the scalar references assume).
+std::vector<uint8_t> bound_input(const kernels::KernelInfo& info, uint64_t seed) {
+  const size_t bytes = info.buffers.input_bytes;
+  if (info.name == "Motion Estimation") return ref::make_bytes(bytes, seed);
+  const auto lanes = info.name == "FIR12" ? ref::make_samples(bytes / 2, seed)
+                                          : ref::make_pixels(bytes / 2, seed);
+  std::vector<uint8_t> out(bytes);
+  std::memcpy(out.data(), lanes.data(), bytes);
+  return out;
+}
+
+TEST(ArenaReuse, ScratchArenasEndEveryJobLikeFreshOnes) {
+  struct Job {
+    const kernels::KernelInfo* info;
+    const PreparedProgram* prepared;
+    bool native;
+    bool bound;
+  };
+  std::vector<std::unique_ptr<MediaKernel>> owned;
+  std::vector<PreparedProgram> preps;
+  preps.reserve(4 * kernels::kernel_infos().size());
+  std::vector<Job> jobs;
+  for (const auto& info : kernels::kernel_infos()) {
+    owned.push_back(kernels::make_kernel(info.name));
+    const MediaKernel& k = *owned.back();
+    for (const bool spu : {false, true}) {
+      PreparedProgram p = spu ? kernels::prepare_spu(k, 1, core::kConfigD, SpuMode::Auto)
+                              : kernels::prepare_baseline(k, 1);
+      preps.push_back(p);
+      const PreparedProgram* sim_p = &preps.back();
+      kernels::lower_native(k, p);
+      preps.push_back(std::move(p));
+      const PreparedProgram* native_p = &preps.back();
+      for (const bool bound : {false, true}) {
+        if (bound && !info.buffers.supported()) continue;
+        jobs.push_back({&info, sim_p, false, bound});
+        jobs.push_back({&info, native_p, true, bound});
+      }
+    }
+  }
+
+  // Two seeded shuffles of every job, so each follows many different
+  // predecessors on the same scratch arenas.
+  ref::Rng rng(0xA4E7A5EEDull);
+  std::vector<Job> order;
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<Job> shuffled = jobs;
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.next() % i]);
+    }
+    order.insert(order.end(), shuffled.begin(), shuffled.end());
+  }
+
+  std::optional<sim::Machine> machine;
+  sim::Memory arena(kernels::kMemBytes);
+  for (size_t n = 0; n < order.size(); ++n) {
+    const Job& job = order[n];
+    const MediaKernel& k = *owned[job.info->registry_index];
+    const PreparedProgram& p = *job.prepared;
+    SCOPED_TRACE("job " + std::to_string(n) + ": " + job.info->name +
+                 (p.use_spu ? " auto/D" : " baseline") + (job.native ? " native" : " sim") +
+                 (job.bound ? " bound" : ""));
+    const std::vector<uint8_t> input =
+        job.bound ? bound_input(*job.info, n) : std::vector<uint8_t>{};
+    std::vector<uint8_t> out_reused(job.info->buffers.output_bytes);
+    std::vector<uint8_t> out_fresh(out_reused.size());
+    kernels::BufferBinding reused_binding{input, out_reused};
+    kernels::BufferBinding fresh_binding{input, out_fresh};
+    const kernels::BufferBinding* reused = job.bound ? &reused_binding : nullptr;
+    const kernels::BufferBinding* fresh = job.bound ? &fresh_binding : nullptr;
+
+    std::span<const uint8_t> got;
+    std::span<const uint8_t> want;
+    sim::Memory fresh_arena(kernels::kMemBytes);
+    std::optional<sim::Machine> fresh_machine;
+    if (job.native) {
+      ASSERT_TRUE(kernels::execute_native(k, p, &arena, reused).verified);
+      ASSERT_TRUE(kernels::execute_native(k, p, &fresh_arena, fresh).verified);
+      got = arena.view(0, kernels::kMemBytes);
+      want = fresh_arena.view(0, kernels::kMemBytes);
+    } else {
+      if (!machine) machine.emplace(p.program, kernels::kMemBytes, p.pc);
+      fresh_machine.emplace(p.program, kernels::kMemBytes, p.pc);
+      ASSERT_TRUE(kernels::execute_prepared(k, p, &*machine, reused).verified);
+      ASSERT_TRUE(kernels::execute_prepared(k, p, &*fresh_machine, fresh).verified);
+      got = machine->memory().view(0, kernels::kMemBytes);
+      want = fresh_machine->memory().view(0, kernels::kMemBytes);
+    }
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    ASSERT_TRUE(diff.first == got.end())
+        << "first differing arena byte " << (diff.first - got.begin());
+    EXPECT_EQ(out_reused, out_fresh);
+  }
 }
 
 TEST(BackendLowering, RejectsDataDependentBranch) {

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "backend/lowering.h"
+#include "backend/native.h"
 #include "core/micro_builder.h"
 #include "core/mmio.h"
 #include "core/orchestrator.h"
@@ -119,6 +120,70 @@ TEST(NegativePaths, NonWordAccessToMmioWindowIsTyped) {
     EXPECT_GE(e.op_index(), 0);
     EXPECT_EQ(e.instruction(), isa::disassemble(p.at(2)));
   }
+}
+
+// --- unchecked native replay ------------------------------------------------
+// run_trace indexes registers and memory raw; these pin down that the
+// lowering proof and the one per-replay check stand in for the per-op
+// checks it dropped.
+
+TEST(NegativePaths, OutOfRangeRegisterIndexIsRejectedAtLowering) {
+  const auto with = [](isa::Inst bad) {
+    isa::Inst halt;
+    halt.op = isa::Op::Halt;
+    return isa::Program({bad, halt}, {});
+  };
+  isa::Inst mmx_dst;  // paddw mm8, mm0
+  mmx_dst.op = isa::Op::Paddw;
+  mmx_dst.dst = isa::kNumMmxRegs;
+  isa::Inst mmx_src;  // movq [r0+0], mm9
+  mmx_src.op = isa::Op::MovqStore;
+  mmx_src.src = isa::kNumMmxRegs + 1;
+  isa::Inst shift_src;  // psllw mm0, 3 with a stray count register
+  shift_src.op = isa::Op::Psllw;
+  shift_src.src = 200;
+  shift_src.src_is_imm = true;
+  shift_src.imm8 = 3;
+  isa::Inst gp_dst;  // add r16, r0
+  gp_dst.op = isa::Op::SAdd;
+  gp_dst.dst = isa::kNumGpRegs;
+  isa::Inst gp_base;  // movq mm0, [r17+0]
+  gp_base.op = isa::Op::MovqLoad;
+  gp_base.base = isa::kNumGpRegs + 1;
+
+  for (const isa::Inst& bad : {mmx_dst, mmx_src, shift_src, gp_dst, gp_base}) {
+    const isa::Program p = with(bad);
+    SCOPED_TRACE(isa::disassemble(p.at(0)));
+    try {
+      (void)backend::lower(p, spec_for(core::kConfigA, false));
+      FAIL() << "expected LoweringError";
+    } catch (const backend::LoweringError& e) {
+      EXPECT_EQ(e.op_index(), 0);
+      EXPECT_NE(std::string(e.what()).find("register index"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(NegativePaths, ReplayIntoArenaSmallerThanFootprintThrows) {
+  isa::Assembler a;
+  a.li(isa::R2, 0x8000);
+  a.movq_load(isa::MM0, isa::R2, 0);
+  a.movq_store(isa::R2, 8, isa::MM0);
+  a.halt();
+  const backend::NativeTrace t =
+      backend::lower(a.take(), spec_for(core::kConfigA, false));
+  EXPECT_EQ(t.footprint, 0x8000u + 16);
+
+  sim::Memory small(0x8000 + 15);  // one byte short of the footprint
+  backend::NativeState st;
+  st.mem = &small;
+  EXPECT_THROW(backend::run_trace(t, st), std::out_of_range);
+
+  sim::Memory exact(0x8000 + 16);
+  st.mem = &exact;
+  EXPECT_NO_THROW(backend::run_trace(t, st));
 }
 
 // --- crossbar / SPU malformations -------------------------------------------

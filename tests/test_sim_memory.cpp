@@ -1,6 +1,16 @@
-// Tests for simulated memory: typed access, bounds, device windows.
+// Tests for simulated memory: typed access, bounds, device windows, and
+// the dirty-page reset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "backend/lowering.h"
+#include "backend/native.h"
+#include "isa/assembler.h"
 #include "sim/memory.h"
 #include "sim/regfile.h"
 #include "swar/vec64.h"
@@ -93,6 +103,74 @@ TEST(Memory, ReadVectorTypedWidths) {
   EXPECT_EQ(m.read_vector<uint64_t>(16, 1)[0], 0x0102030405060708ull);
   m.write8(24, 0xAB);
   EXPECT_EQ(m.read_vector<uint8_t>(24, 1)[0], 0xAB);
+}
+
+namespace {
+
+bool all_zero(const Memory& m) {
+  const auto bytes = m.view(0, m.size());
+  return std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; });
+}
+
+}  // namespace
+
+// clear() zeroes only pages marked dirty, so every mutating entry point
+// must mark what it writes — including writes straddling a page boundary
+// and the partial last page of an arena that is not a whole number of
+// pages. Each write runs alone between clears so no other write's pages
+// can hide a missing mark.
+TEST(Memory, ClearZeroesEveryWriteEntryPoint) {
+  constexpr size_t kPage = subword::sim::kPageBytes;
+  constexpr size_t kSize = 5 * kPage + 100;
+  const std::vector<uint8_t> bytes(kPage + 7, 0xA5);
+  const std::vector<int16_t> halves{-1, 2, -3};
+  const std::vector<int32_t> words{-7, 8};
+  const std::vector<int64_t> quads{-9};
+  const std::vector<std::pair<const char*, std::function<void(Memory&)>>> writes = {
+      {"write8", [&](Memory& m) { m.write8(kSize - 1, 0x22); }},
+      {"write16", [&](Memory& m) { m.write16(kPage - 1, 0x3344); }},
+      {"write32", [&](Memory& m) { m.write32(2 * kPage - 2, 0x55667788u); }},
+      {"write64", [&](Memory& m) { m.write64(3 * kPage - 4, 0x99AABBCCDDEEFF01ull); }},
+      {"write_span<u8>", [&](Memory& m) { m.write_span<uint8_t>(3 * kPage + 9, bytes); }},
+      {"write_span<i16>", [&](Memory& m) { m.write_span<int16_t>(kSize - 6, halves); }},
+      {"write_span<i32>", [&](Memory& m) { m.write_span<int32_t>(4 * kPage - 4, words); }},
+      {"write_span<i64>", [&](Memory& m) { m.write_span<int64_t>(5 * kPage - 4, quads); }},
+  };
+  Memory m(kSize);
+  for (const auto& [name, write] : writes) {
+    SCOPED_TRACE(name);
+    write(m);
+    ASSERT_FALSE(all_zero(m));
+    m.clear();
+    EXPECT_TRUE(all_zero(m));
+  }
+}
+
+TEST(Memory, ClearZeroesNativeTraceStores) {
+  // MMX stores, recorded constant stores and deferred GP stores, each on
+  // its own page, written through the trace's raw arena pointer.
+  subword::isa::Assembler a;
+  a.li(subword::isa::R1, 0x7BCD);
+  a.li(subword::isa::R2, 0x1000);
+  a.movd_to_mmx(subword::isa::MM0, subword::isa::R1);
+  a.movq_store(subword::isa::R2, 0, subword::isa::MM0);
+  a.movd_store(subword::isa::R2, 0x1FFE, subword::isa::MM0);  // straddles
+  a.st32(subword::isa::R2, 0x3000, subword::isa::R1);
+  a.paddw(subword::isa::MM0, subword::isa::MM0);
+  a.movd_from_mmx(subword::isa::R3, subword::isa::MM0);
+  a.st64(subword::isa::R2, 0x4000, subword::isa::R3);
+  a.halt();
+  subword::backend::LoweringSpec spec;
+  spec.mem_bytes = 8 * subword::sim::kPageBytes;
+  const auto trace = subword::backend::lower(a.take(), spec);
+
+  Memory m(spec.mem_bytes);
+  subword::backend::NativeState st;
+  st.mem = &m;
+  subword::backend::run_trace(trace, st);
+  ASSERT_FALSE(all_zero(m));
+  m.clear();
+  EXPECT_TRUE(all_zero(m));
 }
 
 TEST(RegFile, ByteViewMatchesSpuAddressing) {
