@@ -19,14 +19,13 @@
 // 2.86 mm^2 leaves no feasible configuration (plan falls to baseline); a
 // 3 mm^2 budget admits exactly config D.
 //
-// A third, *warmed* pass closes the measure->plan loop (PR 9): every
-// feasible candidate shape is executed once through a BatchEngine (which
-// records its true simulator cycles into the shared cache's history
-// table) and topped up to kHistoryFullSamples, then a planned request
-// pinned to the simulator must decide with score_source == measured and
-// land within kWarmTolerance of the BEST fixed-config hand-pick — warm
-// history upgrades the guarantee from "never worse than the worst" to
-// "matches the best".
+// A third, *warmed* pass closes the measure->plan loop: every feasible
+// candidate shape is executed once through a BatchEngine (which memoizes
+// its exact simulator cycles in the shared cache's cycle memo), then a
+// planned request pinned to the simulator must decide with
+// score_source == measured and land within kWarmTolerance of the BEST
+// fixed-config hand-pick — a warm memo upgrades the guarantee from "never
+// worse than the worst" to "matches the best".
 //
 // With --json, emits BENCH_planner.json (planned/worst/baseline cycles per
 // kernel x repeats, plus the warmed plan_warm records — all deterministic)
@@ -175,7 +174,7 @@ int main(int argc, char** argv) {
 
   // -- Warmed pass: the measure->plan loop, end to end ---------------------
   // Cold planning above is graded against the WORST hand-pick (the model
-  // is optimistic but safe). With full measurement history the bar rises:
+  // is optimistic but safe). With every feasible shape memoized the bar rises:
   // the planner must match the BEST fixed choice within tolerance, and
   // must say its decision was measured, not modeled.
   {
@@ -186,13 +185,10 @@ int main(int argc, char** argv) {
     for (const auto& k : kernels::all_kernels()) {
       for (const int repeats : {1, 8, 64}) {
         runtime::BatchEngine engine({.workers = 2, .cache = nullptr});
-        const auto cache = engine.shared_cache();
 
-        // The candidate field does not depend on history — enumerate it
+        // The candidate field does not depend on the memo — enumerate it
         // once, then warm every feasible shape: one real engine run
-        // records its true cycle count, and direct records top the entry
-        // up to kHistoryFullSamples (the simulator is deterministic, so
-        // the topped-up samples equal what repeated runs would record).
+        // memoizes its exact cycle count.
         const auto cold = runtime::plan_kernel(*k, repeats);
         uint64_t best_fixed = 0;
         bool have_fixed = false;
@@ -207,13 +203,6 @@ int main(int argc, char** argv) {
           auto r = engine.submit(std::move(job)).get();
           check(r.ok, k->name() + " warm-up run (" + r.error + ")");
           check(r.run.stats.has_cycles, k->name() + " warm-up cycle stats");
-          const auto key = runtime::HistoryKey::from_shape(
-              k->name(), repeats, c.use_spu, c.mode, c.cfg,
-              kernels::ExecBackend::kSimulator);
-          for (uint64_t i = 1; i < runtime::kHistoryFullSamples; ++i) {
-            cache->history().record(key,
-                                    static_cast<double>(r.run.stats.cycles));
-          }
           if (c.use_spu) {
             best_fixed = have_fixed
                              ? std::min(best_fixed, r.run.stats.cycles)
@@ -273,7 +262,8 @@ int main(int argc, char** argv) {
              {"score_source", BenchJson::str(source)},
              {"warmed_planned_cycles", BenchJson::num(planned)},
              {"best_fixed_cycles", BenchJson::num(best_fixed)},
-             {"observed_count", BenchJson::num(pr.plan->observed_count)}});
+             {"observed_count",
+              BenchJson::num(pr.plan->measured_cycles ? 1 : 0)}});
       }
     }
     std::printf("%s\n", wt.render().c_str());

@@ -33,10 +33,9 @@ std::string tileable_cell(const kernels::BufferSpec& spec) {
   return "whole tiles";
 }
 
-// The pick auto_plan() converges to under sustained traffic: every
-// feasible candidate shape measured once (the simulator is deterministic,
-// so one run topped up to kHistoryFullSamples equals repeated traffic),
-// then re-planned against that history (docs/PLANNER.md, feedback loop).
+// The pick auto_plan() converges to once every feasible candidate shape
+// has been simulated once (one run is its exact cost) and the plan is
+// re-derived against that memo (docs/PLANNER.md).
 runtime::Plan warmed_plan(const std::string& name, int repeats) {
   const auto k = kernels::make_kernel(name);
   runtime::HistoryTable history;
@@ -46,12 +45,10 @@ runtime::Plan warmed_plan(const std::string& name, int repeats) {
     const auto run = c.use_spu
                          ? kernels::run_spu(*k, repeats, c.cfg, c.mode)
                          : kernels::run_baseline(*k, repeats);
-    const auto key = runtime::HistoryKey::from_shape(
-        name, repeats, c.use_spu, c.mode, c.cfg,
-        kernels::ExecBackend::kSimulator);
-    for (uint64_t i = 0; i < runtime::kHistoryFullSamples; ++i) {
-      history.record(key, static_cast<double>(run.stats.cycles));
-    }
+    history.record(runtime::HistoryKey::from_shape(
+                       name, repeats, c.use_spu, c.mode, c.cfg,
+                       kernels::ExecBackend::kSimulator),
+                   static_cast<double>(run.stats.cycles));
   }
   runtime::PlanOptions opts;
   opts.history = &history;
@@ -80,9 +77,8 @@ int main(int argc, char** argv) {
   std::printf("|---|---|---|---|---|---|---|---|---|\n");
   for (const auto& info : infos) {
     // The cost-model planner's pick at repeats=8 (full search space) —
-    // what `auto_plan()` resolves to for a mid-size request on cold
-    // history — and, where measurement flips the decision, the warmed
-    // pick the feedback loop converges to.
+    // what `auto_plan()` resolves to for a mid-size request on a cold
+    // memo — and, where measurement flips the decision, the warmed pick.
     const auto cold = runtime::plan_kernel(info.name, 8);
     const auto warm = warmed_plan(info.name, 8);
     const std::string cold_label = cold.summary.choice_label();
@@ -106,13 +102,13 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\n*Planned?* is what the cost-model planner (`auto_plan()`, "
-      "[docs/PLANNER.md](docs/PLANNER.md)) chooses at repeats=8 on cold "
-      "history: the cheapest configuration whose removed permutations "
+      "[docs/PLANNER.md](docs/PLANNER.md)) chooses at repeats=8 on a cold "
+      "cycle memo: the cheapest configuration whose removed permutations "
       "outweigh its startup cost, or `baseline` when nothing is removable. "
-      "A `cold` → `warmed` arrow marks kernels where measured execution "
-      "history flips that decision once the feedback loop has "
-      "kHistoryFullSamples per candidate (the planner then scores with "
-      "observed cycles instead of the Table-1 estimate). *Tileable?* "
+      "A `cold` → `warmed` arrow marks kernels where measurement flips "
+      "that decision once every feasible candidate has been simulated "
+      "once (the planner then scores with exact cycles instead of the "
+      "Table-1 estimate). *Tileable?* "
       "is the kernel's frame-tiling geometry ([docs/API.md](docs/API.md)): "
       "the input overlap between consecutive tiles (`halo`), the "
       "granularity a partial tail tile may round to (`units`), or `whole "

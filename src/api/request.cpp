@@ -311,7 +311,6 @@ Result<Response> to_response(runtime::JobResult r,
   resp.execute_ns = r.execute_ns;
   resp.worker = r.worker;
   resp.plan = std::move(r.plan);
-  resp.explored = r.explored;
   resp.tile_cache_hits = r.cache_hit ? 1 : 0;
   return resp;
 }

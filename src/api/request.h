@@ -42,15 +42,10 @@ struct Response {
   uint64_t execute_ns = 0;
   int worker = -1;
   // For auto_plan() requests: the planner's decision and scoring (config,
-  // mode, backend, blended score with its provenance — model, blended or
-  // measured — the winner's observed history, full candidate field). Null
-  // for explicitly-configured requests.
+  // mode, backend, score with its provenance — model or measured — the
+  // winner's memoized cycles, full candidate field). Null for
+  // explicitly-configured requests.
   std::shared_ptr<const PlanSummary> plan;
-  // This request was sampled for exploration (Session::Options::
-  // explore_rate): it executed the plan's runner-up shape to refresh its
-  // measurement history. Outputs are still bit-exact; the stats fields
-  // describe the runner-up execution while `plan` describes the winner.
-  bool explored = false;
 
   // -- Fan-out economics (tile() requests; degenerate 1/1 otherwise) -------
   // How many engine jobs this one request became, how many of them

@@ -10,8 +10,7 @@ Session::Session(SessionOptions opts)
           .queue_capacity = opts.queue_capacity,
           .cache = std::move(opts.cache),
           .shed_queue_depth = opts.shed_queue_depth,
-          .shed_max_block_ns = opts.shed_max_block_ns,
-          .explore_rate = opts.explore_rate}) {}
+          .shed_max_block_ns = opts.shed_max_block_ns}) {}
 
 Session::~Session() = default;  // ~BatchEngine drains
 

@@ -44,13 +44,6 @@ struct SessionOptions {
   // With a bounded queue: the longest one submission may block on
   // backpressure before resolving with kOverloaded. 0: block indefinitely.
   uint64_t shed_max_block_ns = 0;
-  // Fraction (0..1) of auto_plan() requests that execute the plan's
-  // runner-up shape instead of the winner, feeding its measurement into
-  // the shared history table so blended plan scores track reality (see
-  // docs/PLANNER.md). Outputs stay bit-exact either way;
-  // Response::explored marks the sampled requests. 0 (default): never
-  // deviate from the planned path.
-  double explore_rate = 0;
   // Shared orchestration cache; null means the Session owns a private one.
   std::shared_ptr<runtime::OrchestrationCache> cache;
 };

@@ -51,6 +51,13 @@ class Walker {
   }
 
   NativeTrace run() {
+    // The replay indexes its register files unchecked, so every register
+    // field must name a real register: one pass over the program proves
+    // it for every step the walk takes.
+    for (cur_pc_ = 0; cur_pc_ < prog_.size(); ++cur_pc_) {
+      const std::string why = isa::register_index_error(prog_.at(cur_pc_));
+      if (!why.empty()) bail(why);
+    }
     uint64_t pc = 0;
     for (;;) {
       cur_pc_ = pc;
@@ -375,84 +382,7 @@ class Walker {
 
   // -- one architectural step ------------------------------------------------
 
-  // The replay indexes its register files unchecked, so every register
-  // field the instruction reads or writes must name a real register.
-  void check_regs(const Inst& in) const {
-    enum Bank : uint8_t { kNone, kMmx, kGp };
-    Bank dst = kNone;
-    Bank src = kNone;
-    Bank base = kNone;
-    switch (in.op) {
-      case Op::MovqLoad:
-      case Op::MovdLoad:
-        dst = kMmx;
-        base = kGp;
-        break;
-      case Op::MovqStore:
-      case Op::MovdStore:
-        src = kMmx;
-        base = kGp;
-        break;
-      case Op::MovdToMmx:
-        dst = kMmx;
-        src = kGp;
-        break;
-      case Op::MovdFromMmx:
-        dst = kGp;
-        src = kMmx;
-        break;
-      case Op::Emms:
-      case Op::Jmp:
-      case Op::Nop:
-      case Op::Halt:
-        break;
-      case Op::Li:
-      case Op::SAddi:
-      case Op::SSubi:
-      case Op::SShli:
-      case Op::SShri:
-      case Op::SSrai:
-        dst = kGp;
-        break;
-      case Op::SLoad16:
-      case Op::SLoad32:
-      case Op::SLoad64:
-        dst = kGp;
-        base = kGp;
-        break;
-      case Op::SStore16:
-      case Op::SStore32:
-      case Op::SStore64:
-        src = kGp;
-        base = kGp;
-        break;
-      case Op::Jnz:
-      case Op::Jz:
-      case Op::Loopnz:
-        src = kGp;
-        break;
-      default:
-        // dst op= src: MMX data ops (shift-by-immediate included — the
-        // simulator reads `src` regardless) and the scalar binary ops.
-        dst = src = isa::is_mmx_op(in.op) ? kMmx : kGp;
-        break;
-    }
-    const auto check = [&](Bank bank, uint8_t reg, const char* field) {
-      if (bank == kNone) return;
-      const int count = bank == kMmx ? isa::kNumMmxRegs : isa::kNumGpRegs;
-      if (reg >= count) {
-        bail(std::string(field) + " register index " + std::to_string(reg) +
-             " out of range (" + (bank == kMmx ? "MMX" : "GP") + " has " +
-             std::to_string(count) + ")");
-      }
-    };
-    check(dst, in.dst, "dst");
-    check(src, in.src, "src");
-    check(base, in.base, "base");
-  }
-
   void step(const Inst& in, uint64_t* next, bool* halt) {
-    check_regs(in);
     const auto& info = isa::op_info(in.op);
     if (info.is_mmx) {
       step_mmx(in);

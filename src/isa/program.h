@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -46,5 +47,29 @@ class Program {
   std::vector<Inst> insts_;
   std::unordered_map<std::string, int32_t> labels_;
 };
+
+// Why `in` names a register that does not exist (MMX index >= 8, GP
+// index >= 16) in a field its opcode uses, e.g. "dst register index 16
+// out of range (GP has 16)"; empty when every such field is valid.
+// Executors index their register files and scoreboards with these fields
+// unchecked, so a program must pass this rule before it runs.
+[[nodiscard]] std::string register_index_error(const Inst& in);
+
+// A program rejected by validate_registers().
+class InvalidRegisterError : public std::invalid_argument {
+ public:
+  InvalidRegisterError(size_t index, const std::string& why)
+      : std::invalid_argument("instruction " + std::to_string(index) +
+                              ": " + why),
+        index_(index) {}
+  [[nodiscard]] size_t index() const { return index_; }
+
+ private:
+  size_t index_;
+};
+
+// Throws InvalidRegisterError for the first instruction of `p` that fails
+// register_index_error().
+void validate_registers(const Program& p);
 
 }  // namespace subword::isa

@@ -18,19 +18,6 @@ uint64_t now_ns() {
           .count());
 }
 
-// Deterministic exploration sampling: hash the per-engine sequence number
-// to a uniform [0,1) double. Reproducible across runs, unlike rand().
-uint64_t splitmix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-double unit_hash(uint64_t seq) {
-  return static_cast<double>(splitmix64(seq) >> 11) * 0x1.0p-53;
-}
-
 }  // namespace
 
 BatchEngine::BatchEngine(Options opts) {
@@ -42,9 +29,6 @@ BatchEngine::BatchEngine(Options opts) {
       opts.shed_queue_depth > 0 ? static_cast<size_t>(opts.shed_queue_depth)
                                 : 0;
   shed_max_block_ns_ = opts.shed_max_block_ns;
-  explore_rate_ = opts.explore_rate < 0   ? 0
-                  : opts.explore_rate > 1 ? 1
-                                          : opts.explore_rate;
   int n = opts.workers;
   if (n <= 0) {
     n = static_cast<int>(std::thread::hardware_concurrency());
@@ -257,20 +241,6 @@ JobResult BatchEngine::run_job(const KernelJob& job, int worker_id,
       cfg = plan->cfg;
       backend = plan->backend;
       r.plan = std::shared_ptr<const PlanSummary>(plan, &plan->summary);
-      // Exploration: occasionally run the runner-up instead of the winner
-      // so its history keeps accumulating (a shape nobody measures can
-      // never unseat a model mistake). Deterministic hash sampling —
-      // explore_rate == 0 provably never deviates from the planned path.
-      if (explore_rate_ > 0 && plan->runner_up.has_value() &&
-          unit_hash(explore_seq_.fetch_add(1, std::memory_order_relaxed)) <
-              explore_rate_) {
-        const PlanShape& ru = *plan->runner_up;
-        use_spu = ru.use_spu;
-        mode = ru.mode;
-        cfg = ru.cfg;
-        backend = ru.backend;
-        r.explored = true;
-      }
     }
     const bool native = backend == kernels::ExecBackend::kNativeSwar;
 
@@ -312,16 +282,17 @@ JobResult BatchEngine::run_job(const KernelJob& job, int worker_id,
     r.execute_ns = now_ns() - t1;
     r.ok = true;
 
-    // Close the measure->plan loop: every successful execution feeds the
-    // history table keyed by the shape that actually ran (for explored
-    // jobs, the runner-up). Simulator runs record cycles — the unit the
-    // planner can blend with its Table-1 estimates; native runs record
-    // wall-ns, kept in separate entries so the units never mix.
-    cache_->history().record(
-        HistoryKey::from_shape(job.kernel, job.repeats, use_spu, mode, cfg,
-                               backend),
-        r.run.stats.has_cycles ? static_cast<double>(r.run.stats.cycles)
-                               : static_cast<double>(r.execute_ns));
+    // Close the measure->plan loop: memoize the exact cycles of a
+    // simulator run on the machine the planner plans for — the default
+    // pipeline and orchestrator options, i.e. a job whose preparation key
+    // matches the default one. Native runs measure no cycles.
+    if (!native && key == make_key(job.kernel, job.repeats, mode, use_spu,
+                                   cfg, {}, {}, backend)) {
+      cache_->history().record(
+          HistoryKey::from_shape(job.kernel, job.repeats, use_spu, mode, cfg,
+                                 backend),
+          static_cast<double>(r.run.stats.cycles));
+    }
   } catch (const backend::LoweringError& e) {
     r.ok = false;
     r.kind = JobErrorKind::kBackendUnsupported;

@@ -76,11 +76,6 @@ struct JobResult {
   // For planner-driven jobs: what was chosen and why (aliases into the
   // cached Plan, so sharing it across results is free). Null otherwise.
   std::shared_ptr<const PlanSummary> plan;
-  // This execution ran the plan's *runner-up* shape instead of the winner
-  // (explore_rate sampling) to keep its measurement history fresh. The
-  // output is still bit-exact — every candidate is — but the stats
-  // describe the runner-up, and `plan` still describes the winner.
-  bool explored = false;
 };
 
 // Aggregate view over a finished batch (or the engine's lifetime).
@@ -135,14 +130,6 @@ struct BatchEngineOptions {
   // submission, so blocked time stays bounded and observable
   // (EngineStats::submit_block_ns still accumulates the time spent).
   uint64_t shed_max_block_ns = 0;
-  // Fraction of planned jobs (0..1) that execute the plan's runner-up
-  // shape instead of the winner, feeding its measurement back into the
-  // history table so the planner's blended scores never fossilize on a
-  // model mistake. 0 (default): always execute the winner — the engine
-  // never deviates from the planned path. The sampling is a deterministic
-  // hash of a per-engine counter, not wall-clock entropy, so a fixed job
-  // sequence explores the same subset on every run.
-  double explore_rate = 0;
 };
 
 class BatchEngine {
@@ -213,8 +200,6 @@ class BatchEngine {
   size_t queue_capacity_ = 0;    // 0: unbounded
   size_t shed_queue_depth_ = 0;  // 0: no depth-based shedding
   uint64_t shed_max_block_ns_ = 0;  // 0: block without limit
-  double explore_rate_ = 0;         // 0: never run the runner-up
-  std::atomic<uint64_t> explore_seq_{0};  // deterministic sampling stream
 
   mutable std::mutex mu_;
   std::condition_variable cv_;        // workers: work available / draining

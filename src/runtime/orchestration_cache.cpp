@@ -135,7 +135,6 @@ CacheStats OrchestrationCache::stats() const {
   s.plan_misses = plan_misses_.load(std::memory_order_relaxed);
   s.lock_wait_ns = lock_wait_ns_.load(std::memory_order_relaxed);
   s.history_entries = history_.size();
-  s.history_invalidations = history_.invalidations();
   s.history_epoch = history_.epoch();
   {
     std::shared_lock lock(mu_);

@@ -151,13 +151,11 @@ struct CacheStats {
   // hits+misses means the shared_mutex hot path is what flattens worker
   // scaling (see bench_runtime_throughput's worker sweep).
   uint64_t lock_wait_ns = 0;
-  // Observed-execution history (runtime/history.h): distinct shapes with
-  // recorded measurements, drift resets suffered, and the epoch cached
-  // plans are validated against. plan_misses includes epoch-driven
-  // re-plans, so a growing history shows up as extra misses here, not as
-  // silently stale decisions.
+  // The cycle memo (runtime/history.h): distinct shapes simulated, and the
+  // epoch cached plans are validated against. plan_misses includes
+  // epoch-driven re-plans, so a growing memo shows up as extra misses
+  // here, not as silently stale decisions.
   uint64_t history_entries = 0;
-  uint64_t history_invalidations = 0;
   uint64_t history_epoch = 0;
 
   [[nodiscard]] double hit_rate() const {
@@ -189,17 +187,17 @@ class OrchestrationCache {
   // The planning analogue of get_or_prepare: resolves `key` to a stored
   // planner decision, invoking `factory` exactly once per unique key
   // across all threads and sessions sharing this cache — per history
-  // epoch: a stored decision computed before the history table's epoch
-  // advanced (a key crossed a sample threshold, or drifted) is stale and
-  // the factory re-runs, which is how measurements reach plans that were
-  // memoized cold. Errors propagate to the caller; the stored decision
-  // (if any) is kept for the next attempt.
+  // epoch: a stored decision computed before the cycle memo's epoch
+  // advanced (a new shape was simulated) is stale and the factory re-runs,
+  // which is how measurements reach plans that were memoized cold. Errors
+  // propagate to the caller; the stored decision (if any) is kept for the
+  // next attempt.
   [[nodiscard]] std::shared_ptr<const Plan> get_or_plan(
       const PlanKey& key, const PlanFactory& factory);
 
-  // Observed-execution history shared by every engine on this cache. The
-  // engine records into it after each successful job; the planner reads
-  // it through PlanOptions::history.
+  // Exact cycle memo shared by every engine on this cache. The engine
+  // records default-pipeline simulator runs into it; the planner reads it
+  // through PlanOptions::history.
   [[nodiscard]] HistoryTable& history() { return history_; }
   [[nodiscard]] const HistoryTable& history() const { return history_; }
 

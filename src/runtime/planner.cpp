@@ -204,55 +204,39 @@ std::vector<PlanCandidate> score_candidates(const kernels::MediaKernel& k,
   return out;
 }
 
-void blend_with_history(const std::string& kernel, int repeats,
+void apply_measurements(const std::string& kernel, int repeats,
                         const HistoryTable* history,
                         std::vector<PlanCandidate>* candidates) {
+  const auto cycles_of = [&](bool use_spu, kernels::SpuMode mode,
+                             const core::CrossbarConfig& cfg) {
+    return history->lookup(HistoryKey::from_shape(
+        kernel, repeats, use_spu, mode, cfg,
+        kernels::ExecBackend::kSimulator));
+  };
+  bool complete = history != nullptr;
   for (auto& c : *candidates) {
     c.score = c.est_benefit;
     c.score_source = ScoreSource::kModel;
-    c.observed_count = 0;
-    c.observed_mean = 0;
-    c.observed_variance = 0;
+    c.measured_cycles.reset();
+    if (history != nullptr) {
+      c.measured_cycles = cycles_of(c.use_spu, c.mode, c.cfg);
+    }
+    if (c.feasible && !c.measured_cycles) complete = false;
   }
-  if (history == nullptr) return;
-
-  // The baseline aggregate anchors every comparison: a candidate's
-  // measured benefit is mean(baseline) - mean(candidate), so the blend
-  // weight is bounded by the *less*-sampled side. Only simulator-cycle
-  // history participates — it shares the Table-1 model's unit; native
-  // wall-ns entries are keyed separately and never enter a cycle score.
-  const auto base = history->lookup(HistoryKey::from_shape(
-      kernel, repeats, false, kernels::SpuMode::Auto, core::kConfigA,
-      kernels::ExecBackend::kSimulator));
-  const uint64_t base_n = base ? base->count : 0;
-
+  // A decision never weighs a measured saving against a modeled one: the
+  // model is optimistic, so a half-measured field would favour whichever
+  // shape has not run yet. Until every feasible candidate is memoized the
+  // whole field keeps its estimates.
+  if (!complete) return;
+  // The baseline anchors every comparison.
+  const auto base = cycles_of(false, kernels::SpuMode::Auto, core::kConfigA);
+  if (!base) return;
   for (auto& c : *candidates) {
-    const auto obs = history->lookup(HistoryKey::from_shape(
-        kernel, repeats, c.use_spu, c.mode, c.cfg,
-        kernels::ExecBackend::kSimulator));
-    if (obs) {
-      c.observed_count = obs->count;
-      c.observed_mean = obs->mean;
-      c.observed_variance = obs->variance;
-    }
-    if (!c.use_spu) {
-      // The baseline's benefit over itself is identically zero; only its
-      // regime (how well-measured the yardstick is) is informative.
-      c.score = 0;
-      c.score_source =
-          base ? base->regime() : ScoreSource::kModel;
-      continue;
-    }
-    const uint64_t n = std::min(base_n, c.observed_count);
-    if (n < kHistoryMinSamples) continue;  // model-only
-    const double w = std::min(
-        1.0, static_cast<double>(n) /
-                 static_cast<double>(kHistoryFullSamples));
-    const double measured = base->mean - c.observed_mean;
-    c.score = static_cast<int64_t>(std::llround(
-        (1.0 - w) * static_cast<double>(c.est_benefit) + w * measured));
-    c.score_source = n >= kHistoryFullSamples ? ScoreSource::kMeasured
-                                              : ScoreSource::kBlended;
+    if (!c.measured_cycles) continue;
+    c.score = c.use_spu ? static_cast<int64_t>(*base) -
+                              static_cast<int64_t>(*c.measured_cycles)
+                        : 0;
+    c.score_source = ScoreSource::kMeasured;
   }
 }
 
@@ -275,46 +259,11 @@ Plan pick_plan(const std::string& kernel, int repeats,
     if (beats) best = i;
   }
 
-  // The runner-up: who exploration should keep measuring. A still-cold
-  // baseline comes first (it anchors every blend), then the best distinct
-  // SPU shape that removes anything — including shapes the model scored
-  // negative: those are exactly the estimates worth falsifying.
-  std::optional<size_t> runner;
-  const PlanCandidate& winc = candidates[best];
-  if (winc.use_spu && candidates[0].feasible &&
-      candidates[0].observed_count < kHistoryFullSamples) {
-    runner = 0;
-  } else {
-    for (size_t i = 1; i < candidates.size(); ++i) {
-      const auto& c = candidates[i];
-      if (i == best || !c.feasible || !c.use_spu || c.removed_static <= 0) {
-        continue;
-      }
-      if (!runner.has_value()) {
-        runner = i;
-        continue;
-      }
-      const auto& r = candidates[*runner];
-      if (c.score > r.score ||
-          (c.score == r.score &&
-           (c.area_mm2 < r.area_mm2 ||
-            (c.area_mm2 == r.area_mm2 && c.delay_ns < r.delay_ns)))) {
-        runner = i;
-      }
-    }
-  }
-
   Plan plan;
   const PlanCandidate& win = candidates[best];
   plan.use_spu = win.use_spu;
   plan.mode = win.mode;
   plan.cfg = win.use_spu ? win.cfg : core::kConfigA;
-  if (runner.has_value()) {
-    const auto& r = candidates[*runner];
-    plan.runner_up = PlanShape{r.use_spu, r.mode,
-                               r.use_spu ? r.cfg : core::kConfigA,
-                               kernels::ExecBackend::kSimulator};
-  }
 
   PlanSummary s;
   s.kernel = kernel;
@@ -327,9 +276,7 @@ Plan pick_plan(const std::string& kernel, int repeats,
   s.startup_instructions = win.startup_instructions;
   s.area_mm2 = win.area_mm2;
   s.delay_ns = win.delay_ns;
-  s.observed_count = win.observed_count;
-  s.observed_mean = win.observed_mean;
-  s.observed_variance = win.observed_variance;
+  s.measured_cycles = win.measured_cycles;
   // The decision is only as measured as its least-measured comparison:
   // one cold feasible candidate means part of the field was still judged
   // by the model alone.
@@ -370,7 +317,7 @@ Plan pick_plan(const std::string& kernel, int repeats,
 Plan plan_kernel(const kernels::MediaKernel& k, int repeats,
                  const PlanOptions& opts) {
   std::vector<PlanCandidate> candidates = score_candidates(k, repeats, opts);
-  blend_with_history(k.name(), repeats, opts.history, &candidates);
+  apply_measurements(k.name(), repeats, opts.history, &candidates);
   Plan plan = pick_plan(k.name(), repeats, std::move(candidates));
   if (opts.backend.has_value()) {
     if (*opts.backend == kernels::ExecBackend::kNativeSwar) {
@@ -399,24 +346,6 @@ Plan plan_kernel(const kernels::MediaKernel& k, int repeats,
     }
   }
   plan.summary.backend = plan.backend;
-  // The runner-up keeps the simulator backend on purpose: exploration
-  // exists to feed *cycle* history — the only unit that blends into the
-  // model — so an explored execution must produce cycle stats. A pinned
-  // backend overrides that (the caller's pin is a contract); a pinned
-  // native backend that cannot execute the runner-up leaves nothing to
-  // explore.
-  if (plan.runner_up.has_value() && opts.backend.has_value()) {
-    auto& ru = *plan.runner_up;
-    if (*opts.backend == kernels::ExecBackend::kNativeSwar) {
-      const auto* info = kernels::find_kernel_info(k.name());
-      if (info != nullptr &&
-          info->native_supported(ru.use_spu, ru.mode, ru.cfg)) {
-        ru.backend = kernels::ExecBackend::kNativeSwar;
-      } else {
-        plan.runner_up.reset();
-      }
-    }
-  }
   return plan;
 }
 

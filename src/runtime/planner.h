@@ -42,23 +42,21 @@
 // mistake, orchestrating when nothing is removable, is excluded exactly
 // rather than estimated (removed == 0 never scores positive).
 //
-// Since PR 9 the model is only the cold half of the decision. When
+// The model is only the cold half of the decision. When
 // PlanOptions::history points at a runtime::HistoryTable (the engine
-// always passes its cache's table), blend_with_history() folds observed
-// simulator-cycle means into each candidate's score:
+// always passes its cache's table), apply_measurements() replaces the
+// estimate with the exact simulator cycles once the baseline and every
+// feasible candidate have been simulated:
 //
-//     n     = min(samples(baseline), samples(candidate))
-//     w     = 0                      when n <  kHistoryMinSamples
-//           = n / kHistoryFullSamples  (clamped to 1) otherwise
-//     score = (1-w) * est_benefit + w * (mean(baseline) - mean(candidate))
+//     score = cycles(baseline) - cycles(candidate)   whole field memoized
+//           = est_benefit                            otherwise
 //
-// so a shape the model oversold loses its seat as soon as measurements
-// accumulate, and pick_plan decides on `score` instead of raw
-// est_benefit. Only simulator-cycle history blends — it shares the
-// model's unit (cycles); native wall-ns history is recorded and surfaced
-// but never mixed into a cycle-denominated score. The decision's
-// provenance is summarized as PlanSummary::score_source: the *least*
-// measured feasible comparison in the field (a plan is only as measured
+// so a shape the model oversold loses its seat as soon as the field has
+// run once, and pick_plan decides on `score` instead of raw est_benefit.
+// A measured saving is never weighed against a modeled one: the model is
+// optimistic, so a half-measured field would favour whichever shape has
+// not run yet. The decision's provenance is PlanSummary::score_source,
+// the *least* measured feasible candidate's (a plan is only as measured
 // as the candidates it compared).
 #pragma once
 
@@ -95,9 +93,9 @@ struct PlanOptions {
   // Pin the execution backend instead of letting the planner choose.
   // Candidates the pinned backend cannot execute become infeasible.
   std::optional<kernels::ExecBackend> backend;
-  // Observed-execution history to blend into the scores (see the header
-  // comment). Null: pure Table-1 model, the pre-PR-9 behaviour. The
-  // pointee must outlive the planning call; it is not retained.
+  // Exact simulator cycles to score with (see the header comment). Null:
+  // pure Table-1 model. The pointee must outlive the planning call; it is
+  // not retained.
   const HistoryTable* history = nullptr;
 };
 
@@ -116,16 +114,13 @@ struct PlanCandidate {
   // Estimated dynamic cycles saved at the requested repeat count, net of
   // startup. Pure model output, kept for the audit trail.
   int64_t est_benefit = 0;
-  // The decision variable pick_plan compares: est_benefit blended with
-  // observed history per the header formula (== est_benefit when history
-  // is cold or absent). <= 0 never beats baseline.
+  // The decision variable pick_plan compares: the measured saving per the
+  // header formula, or est_benefit while the field is not fully memoized.
+  // <= 0 never beats baseline.
   int64_t score = 0;
   ScoreSource score_source = ScoreSource::kModel;
-  // This shape's observed simulator-cycle aggregate at blend time
-  // (count == 0: never measured).
-  uint64_t observed_count = 0;
-  double observed_mean = 0;
-  double observed_variance = 0;
+  // This shape's memoized simulator cycles (nullopt: never simulated).
+  std::optional<uint64_t> measured_cycles;
   double area_mm2 = 0;            // Table-1 price of this config
   double delay_ns = 0;
 
@@ -146,25 +141,15 @@ struct PlanSummary {
   int64_t startup_instructions = 0;
   double area_mm2 = 0;
   double delay_ns = 0;
-  // Decision provenance: how much of the winning comparison was measured
-  // rather than modeled (the least-measured feasible candidate's regime),
-  // plus the winner's own observed aggregate.
+  // Decision provenance: whether the comparison was measured rather than
+  // modeled (the least-measured feasible candidate's source), plus the
+  // winner's own memoized cycles.
   ScoreSource score_source = ScoreSource::kModel;
-  uint64_t observed_count = 0;
-  double observed_mean = 0;
-  double observed_variance = 0;
+  std::optional<uint64_t> measured_cycles;
   std::string reason;                     // human-readable why
   std::vector<PlanCandidate> candidates;  // the full scored field
 
   [[nodiscard]] std::string choice_label() const;
-};
-
-// An executable shape without the audit trail — what exploration swaps in.
-struct PlanShape {
-  bool use_spu = false;
-  kernels::SpuMode mode = kernels::SpuMode::Auto;
-  core::CrossbarConfig cfg = core::kConfigA;
-  kernels::ExecBackend backend = kernels::ExecBackend::kSimulator;
 };
 
 // What the engine executes. `summary` carries the audit trail.
@@ -174,12 +159,6 @@ struct Plan {
   core::CrossbarConfig cfg = core::kConfigA;
   kernels::ExecBackend backend = kernels::ExecBackend::kSimulator;
   PlanSummary summary;
-  // The second-best feasible shape, kept for exploration: with
-  // Session::Options::explore_rate > 0 the engine occasionally executes
-  // this instead of the winner so its history keeps accumulating and a
-  // model mistake cannot fossilize. Absent when the field has no distinct
-  // worthwhile runner-up.
-  std::optional<PlanShape> runner_up;
 };
 
 // Score the full candidate field for one kernel at one repeat count:
@@ -189,12 +168,13 @@ struct Plan {
 [[nodiscard]] std::vector<PlanCandidate> score_candidates(
     const kernels::MediaKernel& k, int repeats, const PlanOptions& opts);
 
-// Fold observed history into a scored field in place (see the header
-// formula). Each candidate's score starts as est_benefit and shifts
-// toward (baseline mean - candidate mean) as simulator-cycle samples
-// accumulate for both sides; observed_* fields are filled from the table
-// regardless of regime. No-op beyond defaults when `history` is null.
-void blend_with_history(const std::string& kernel, int repeats,
+// Score a field in place from the memo (see the header formula): every
+// candidate's measured_cycles is filled from the table, and once the
+// baseline and every feasible candidate are memoized each memoized
+// candidate scores its exact cycle saving with score_source = measured.
+// Otherwise, and when `history` is null, every candidate keeps its model
+// score.
+void apply_measurements(const std::string& kernel, int repeats,
                         const HistoryTable* history,
                         std::vector<PlanCandidate>* candidates);
 
@@ -203,7 +183,7 @@ void blend_with_history(const std::string& kernel, int repeats,
 // cheaper area, then lower delay, then candidate order. When no feasible
 // candidate scores positive — in particular when no config removes any
 // permutation — the plain baseline wins. The backend on the returned Plan
-// is simulator; plan_kernel() finalizes it (including the runner-up's).
+// is simulator; plan_kernel() finalizes it.
 [[nodiscard]] Plan pick_plan(const std::string& kernel, int repeats,
                              std::vector<PlanCandidate> candidates);
 

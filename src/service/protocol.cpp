@@ -209,14 +209,13 @@ constexpr uint8_t kFlagAreaBudget = 1u << 0;
 constexpr uint8_t kFlagDelayBudget = 1u << 1;
 constexpr uint8_t kKnownFlags = kFlagAreaBudget | kFlagDelayBudget;
 
-// Response flag bits (the byte that was has_plan before PR 9 — bit 0
-// keeps its old meaning, so a plain plan response is byte-identical).
-// Optional plan provenance fields ride behind the remaining bits.
+// Response flag bits (the byte was a plain has_plan bool in the first
+// protocol revision — bit 0 keeps that meaning, so a plain plan response is
+// byte-identical). The optional observed block rides behind bit 1; every
+// other bit is unknown and decodes as kBadFlags.
 constexpr uint8_t kRespFlagPlan = 1u << 0;
 constexpr uint8_t kRespFlagObserved = 1u << 1;  // plan observed stats follow
-constexpr uint8_t kRespFlagExplored = 1u << 2;  // runner-up was executed
-constexpr uint8_t kKnownRespFlags =
-    kRespFlagPlan | kRespFlagObserved | kRespFlagExplored;
+constexpr uint8_t kKnownRespFlags = kRespFlagPlan | kRespFlagObserved;
 
 }  // namespace
 
@@ -296,7 +295,6 @@ void encode_response(const WireResponse& resp, std::vector<uint8_t>* out) {
     const bool observed = resp.has_plan && resp.plan.has_observed;
     if (resp.has_plan) flags |= kRespFlagPlan;
     if (observed) flags |= kRespFlagObserved;
-    if (resp.explored) flags |= kRespFlagExplored;
     put_u8(&body, flags);
     if (resp.has_plan) {
       put_u8(&body, static_cast<uint8_t>(resp.plan.mode));
@@ -307,7 +305,7 @@ void encode_response(const WireResponse& resp, std::vector<uint8_t>* out) {
     if (observed) {
       put_u64(&body, resp.plan.observed_count);
       put_f64(&body, resp.plan.observed_mean);
-      put_f64(&body, resp.plan.observed_variance);
+      put_f64(&body, 0.0);  // variance slot: exact cycles have no spread
     }
     put_bytes(&body, resp.output);
   } else {
@@ -428,7 +426,6 @@ ProtoResult<WireResponse> decode_response(std::span<const uint8_t> body) {
                  std::to_string(flags & ~kKnownRespFlags));
     }
     resp.has_plan = (flags & kRespFlagPlan) != 0;
-    resp.explored = (flags & kRespFlagExplored) != 0;
     if (!r.failed() && (flags & kRespFlagObserved) != 0 && !resp.has_plan) {
       r.fail(ProtoCode::kBadFlags,
              "observed-stats flag without a plan decision");
@@ -460,7 +457,7 @@ ProtoResult<WireResponse> decode_response(std::span<const uint8_t> body) {
       if (resp.plan.has_observed) {
         resp.plan.observed_count = r.u64("observed count");
         resp.plan.observed_mean = r.f64("observed mean");
-        resp.plan.observed_variance = r.f64("observed variance");
+        (void)r.f64("observed variance");
       }
     }
     resp.output = r.bytes("output");

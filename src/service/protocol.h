@@ -166,7 +166,8 @@ struct WireStats {
 };
 
 // Where a plan's decision variable came from, on the wire: 0 model,
-// 1 blended, 2 measured (mirrors runtime::ScoreSource; kBadEnum above 2).
+// 2 measured (mirrors runtime::ScoreSource; 1 is retired and never
+// emitted; kBadEnum above 2).
 inline constexpr uint8_t kWireScoreSourceMax = 2;
 
 // The planner's decision for kPlan requests (mirrors Response::plan).
@@ -174,13 +175,15 @@ struct WirePlan {
   WireMode mode = WireMode::kBaseline;  // never kPlan in a decision
   uint8_t config = 0;
   WireBackend backend = WireBackend::kSimulator;  // never kAuto
-  uint8_t score_source = 0;  // 0 model / 1 blended / 2 measured
-  // Observed history of the chosen shape, present only once it has been
-  // measured (kRespFlagObserved in the response flags byte).
+  uint8_t score_source = 0;  // 0 model / 2 measured
+  // The chosen shape's memoized simulator cycles, present only once it has
+  // been simulated (kRespFlagObserved in the response flags byte). The
+  // block keeps its statistical layout: a server always writes count 1,
+  // the exact cycles as the mean, and 0.0 in the variance slot, which the
+  // decoder skips.
   bool has_observed = false;
   uint64_t observed_count = 0;
-  double observed_mean = 0;      // cycles (sim) or wall-ns (native)
-  double observed_variance = 0;
+  double observed_mean = 0;
 };
 
 struct WireResponse {
@@ -194,9 +197,6 @@ struct WireResponse {
   WireStats stats;
   bool has_plan = false;
   WirePlan plan;
-  // This execution was sampled for exploration (the server ran the plan's
-  // runner-up shape to refresh its measurement history).
-  bool explored = false;
   std::vector<uint8_t> output;
 };
 

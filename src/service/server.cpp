@@ -61,7 +61,6 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
     so.queue_capacity = t.queue_capacity;
     so.shed_queue_depth = t.shed_queue_depth;
     so.shed_max_block_ns = t.shed_max_block_ns;
-    so.explore_rate = t.explore_rate;
     so.cache = cache;
     tenant->session = std::make_unique<api::Session>(so);
     tenant_names_.push_back(t.name);
@@ -345,14 +344,12 @@ WireResponse Server::execute(const WireRequest& req, Tenant* tenant) {
                             ? WireBackend::kNativeSwar
                             : WireBackend::kSimulator;
     resp.plan.score_source = static_cast<uint8_t>(plan.score_source);
-    if (plan.observed_count > 0) {
+    if (plan.measured_cycles) {
       resp.plan.has_observed = true;
-      resp.plan.observed_count = plan.observed_count;
-      resp.plan.observed_mean = plan.observed_mean;
-      resp.plan.observed_variance = plan.observed_variance;
+      resp.plan.observed_count = 1;
+      resp.plan.observed_mean = static_cast<double>(*plan.measured_cycles);
     }
   }
-  resp.explored = result->explored;
   resp.output = std::move(output);
   return resp;
 }

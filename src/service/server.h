@@ -56,11 +56,6 @@ struct TenantOptions {
   int queue_capacity = 0;
   int shed_queue_depth = 0;
   uint64_t shed_max_block_ns = 0;
-  // Fraction (0..1) of this tenant's planned requests that execute the
-  // plan's runner-up shape to refresh its measurement history
-  // (api::SessionOptions::explore_rate; explored responses carry the
-  // wire's explored flag).
-  double explore_rate = 0;
   // Service-side cap on requests of this tenant simultaneously in flight
   // across all connections (0: unlimited). Excess is shed with
   // kOverloaded before touching the engine.

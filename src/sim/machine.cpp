@@ -28,6 +28,7 @@ Machine::Machine(std::shared_ptr<const isa::Program> program,
   if (prog_ == nullptr || prog_->empty()) {
     throw std::invalid_argument("Machine: empty program");
   }
+  isa::validate_registers(*prog_);
 }
 
 void Machine::reset(isa::Program program, PipelineConfig cfg) {
@@ -39,6 +40,9 @@ void Machine::reset(std::shared_ptr<const isa::Program> program,
   if (program == nullptr || program->empty()) {
     throw std::invalid_argument("Machine: empty program");
   }
+  // Once per program: the batch runtime resets a worker's Machine onto the
+  // same cached program job after job.
+  if (program != prog_) isa::validate_registers(*program);
   prog_ = std::move(program);
   mem_.clear();
   mem_.unmap_device();

@@ -50,6 +50,9 @@ using TraceFn = std::function<void(const TraceEvent&)>;
 
 class Machine {
  public:
+  // Throws isa::InvalidRegisterError when an instruction names a register
+  // that does not exist (the scoreboard and register files are indexed
+  // unchecked); reset() applies the same check to a new program.
   Machine(isa::Program program, size_t mem_bytes, PipelineConfig cfg = {});
   // Shared-program overload: the batch runtime executes one immutable
   // cached program from many machines without copying it per job.

@@ -163,6 +163,21 @@ TEST(NegativePaths, OutOfRangeRegisterIndexIsRejectedAtLowering) {
                 std::string::npos)
           << e.what();
     }
+    // The simulator applies the same rule before it runs anything: its
+    // scoreboard is indexed by these fields unchecked.
+    try {
+      sim::Machine m(p, 4096, {.max_cycles = 100000});
+      FAIL() << "expected InvalidRegisterError";
+    } catch (const isa::InvalidRegisterError& e) {
+      EXPECT_EQ(e.index(), 0u);
+      EXPECT_NE(std::string(e.what()).find("register index"),
+                std::string::npos)
+          << e.what();
+    }
+    isa::Inst halt;
+    halt.op = isa::Op::Halt;
+    sim::Machine reused(isa::Program({halt}, {}), 4096);
+    EXPECT_THROW(reused.reset(p), isa::InvalidRegisterError);
   }
 }
 

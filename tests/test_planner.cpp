@@ -58,7 +58,7 @@ runtime::PlanCandidate auto_candidate(const core::CrossbarConfig& cfg,
   c.cfg = cfg;
   c.removed_static = removed;
   c.est_benefit = benefit;
-  c.score = benefit;  // what blend_with_history would set on cold history
+  c.score = benefit;  // what apply_measurements sets on a cold memo
   const auto cost = hw::estimate_cost(cfg);
   c.area_mm2 = cost.crossbar_area_mm2 + cost.control_mem_area_mm2;
   c.delay_ns = cost.crossbar_delay_ns;
@@ -243,24 +243,16 @@ TEST(PlannerCache, ConcurrentSessionsPlanOnceAndAgree) {
   }
   EXPECT_EQ(choices.size(), 1u) << "identical PlanKeys must agree";
 
-  // Every planned job records a measurement, and the history epoch bumps
-  // when a key crosses the min/full sample thresholds (and on drift
-  // invalidations, which wall-clock jitter can trigger on the native
-  // backend) — each bump makes the next lookup replan. So misses are no
-  // longer exactly 1: the initial plan, one per threshold crossing, plus
-  // possibly a few drift-driven replans. They must stay rare, every
-  // replan must reach the same choice (asserted above), and hits +
-  // misses must account for every request against the single entry.
+  // The planned jobs run natively, so nothing enters the cycle memo, its
+  // epoch never moves and nothing replans: exactly one planning miss.
   const auto stats = cache->stats();
-  EXPECT_GE(stats.plan_misses, 1u);
-  EXPECT_LE(stats.plan_misses, 8u)
-      << "replans should be rare: one per history-epoch bump";
+  EXPECT_EQ(stats.plan_misses, 1u);
   EXPECT_EQ(stats.plan_hits + stats.plan_misses, 2u * kPerSession);
   EXPECT_EQ(stats.plan_entries, 1u);
+  EXPECT_EQ(stats.history_entries, 0u);
 
   // Different repeats or budgets are different PlanKeys: exactly one new
-  // miss each (a single fresh sample can't cross a threshold, so no epoch
-  // bump rides along).
+  // miss each.
   const auto misses_before = stats.plan_misses;
   auto r2 = a.request("FIR22").repeats(16).auto_plan().run();
   ASSERT_TRUE(r2.ok()) << r2.error().to_string();
@@ -269,6 +261,59 @@ TEST(PlannerCache, ConcurrentSessionsPlanOnceAndAgree) {
   ASSERT_TRUE(r3.ok()) << r3.error().to_string();
   EXPECT_EQ(cache->stats().plan_misses, misses_before + 2);
   EXPECT_EQ(cache->stats().plan_entries, 3u);
+}
+
+TEST(PlannerCache, NonDefaultPipelineRunsNeverReachDefaultPlans) {
+  // The planner plans for the default pipeline, and PlanKey carries no
+  // pipeline config. Runs of every candidate on a slower SPU pipeline
+  // (deeper mispredict penalty, no dual issue — knobs any request may set)
+  // must not be memoized as the cost of those shapes, or they would flip
+  // the default-pipeline plan to a measured baseline.
+  runtime::BatchEngine engine({.workers = 2, .cache = nullptr});
+  const auto planned = [&] {
+    runtime::KernelJob pj;
+    pj.kernel = "FIR22";
+    pj.repeats = 8;
+    pj.plan = true;
+    pj.backend = kernels::ExecBackend::kSimulator;
+    pj.backend_pinned = true;
+    auto r = engine.submit(std::move(pj)).get();
+    EXPECT_TRUE(r.ok) << r.error;
+    return r;
+  };
+  const auto cold = planned();
+  ASSERT_NE(cold.plan, nullptr);
+  ASSERT_EQ(cold.plan->choice_label(), "auto/D");
+  EXPECT_EQ(cold.run.stats.cycles, 45940u);
+
+  sim::PipelineConfig slow;
+  slow.extra_spu_stage = true;
+  slow.mispredict_penalty = 40;
+  slow.dual_issue = false;
+  for (const auto& c : cold.plan->candidates) {
+    if (!c.feasible) continue;
+    for (int i = 0; i < 8; ++i) {
+      runtime::KernelJob job;
+      job.kernel = "FIR22";
+      job.repeats = 8;
+      job.use_spu = c.use_spu;
+      job.mode = c.mode;
+      job.cfg = c.cfg;
+      if (c.use_spu) job.pc = slow;
+      const auto r = engine.submit(std::move(job)).get();
+      ASSERT_TRUE(r.ok) << r.error;
+    }
+  }
+
+  const auto warm = planned();
+  ASSERT_NE(warm.plan, nullptr);
+  EXPECT_EQ(warm.plan->choice_label(), "auto/D");
+  EXPECT_EQ(warm.run.stats.cycles, 45940u);
+  // Only the default-pipeline shapes reached the memo: the baseline and
+  // the planned auto/D run itself. The manual and remaining auto shapes
+  // stay unmeasured, so the decision is still the model's.
+  EXPECT_EQ(warm.plan->score_source, runtime::ScoreSource::kModel);
+  EXPECT_EQ(engine.cache().history().size(), 2u);
 }
 
 TEST(PlannerCache, PlannedJobsShareThePreparedProgramCache) {

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "kernels/registry.h"
 #include "kernels/runner.h"
@@ -24,6 +28,18 @@ std::vector<std::string> kernel_names() {
   std::vector<std::string> names;
   for (const auto& k : all_kernels()) names.push_back(k->name());
   return names;
+}
+
+// In-contract caller bytes for a kernel's bound input (i16 lanes in the
+// range the scalar references assume).
+std::vector<uint8_t> bound_input(const KernelInfo& info, uint64_t seed) {
+  const size_t bytes = info.buffers.input_bytes;
+  if (info.name == "Motion Estimation") return ref::make_bytes(bytes, seed);
+  const auto lanes = info.name == "FIR12" ? ref::make_samples(bytes / 2, seed)
+                                          : ref::make_pixels(bytes / 2, seed);
+  std::vector<uint8_t> out(bytes);
+  std::memcpy(out.data(), lanes.data(), bytes);
+  return out;
 }
 
 }  // namespace
@@ -55,6 +71,44 @@ TEST_P(RegistryProperty, SpuPathsBitExactOnRandomSizes) {
   const auto aut = run_spu(*k, repeats, kConfigA, SpuMode::Auto);
   EXPECT_TRUE(aut.verified)
       << k->name() << " auto orchestration diverges at repeats=" << repeats;
+}
+
+// The planner's cycle memo (runtime/history.h) keeps one simulator run per
+// shape as that shape's exact cost. That is sound only because a run's
+// cycle count does not depend on the data: every shape the planner can
+// choose must report one cycle count for the synthetic input and for two
+// seeded bound inputs.
+TEST_P(RegistryProperty, SimulatorCyclesDependOnlyOnTheShape) {
+  const KernelInfo* info = find_kernel_info(GetParam());
+  ASSERT_NE(info, nullptr);
+  const auto k = make_kernel(GetParam());
+  std::vector<std::pair<std::string, PreparedProgram>> shapes;
+  shapes.emplace_back("baseline", prepare_baseline(*k, 1));
+  for (const auto& cfg : core::kAllConfigs) {
+    const std::string name(cfg.name);
+    shapes.emplace_back("auto/" + name,
+                        prepare_spu(*k, 1, cfg, SpuMode::Auto));
+    try {
+      shapes.emplace_back("manual/" + name,
+                          prepare_spu(*k, 1, cfg, SpuMode::Manual));
+    } catch (const std::logic_error&) {
+      // No manual variant under this config: not a plannable shape.
+    }
+  }
+  for (const auto& [label, p] : shapes) {
+    const auto synthetic = execute_prepared(*k, p);
+    ASSERT_TRUE(synthetic.verified) << label;
+    if (!info->buffers.supported()) continue;
+    for (const uint64_t seed : {0x5EED1u, 0x5EED2u}) {
+      const auto input = bound_input(*info, seed);
+      std::vector<uint8_t> output(info->buffers.output_bytes);
+      const BufferBinding binding{input, output};
+      const auto bound = execute_prepared(*k, p, nullptr, &binding);
+      ASSERT_TRUE(bound.verified) << label << " seed " << seed;
+      EXPECT_EQ(bound.stats.cycles, synthetic.stats.cycles)
+          << label << " seed " << seed;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, RegistryProperty,

@@ -117,14 +117,16 @@ TEST(Protocol, ResponseRoundTripsStatsPlanAndOutput) {
   resp.plan.backend = WireBackend::kNativeSwar;
   resp.plan.score_source = 2;  // measured
   resp.plan.has_observed = true;
-  resp.plan.observed_count = 12;
-  resp.plan.observed_mean = 1234.5;
-  resp.plan.observed_variance = 6.25;
-  resp.explored = true;
+  resp.plan.observed_count = 1;
+  resp.plan.observed_mean = 1234;
   resp.output = {9, 8, 7};
 
   std::vector<uint8_t> frame;
   service::encode_response(resp, &frame);
+  // The observed block keeps its variance slot, always 0.0: it sits just
+  // before the output (u32 length + 3 bytes).
+  const size_t variance_at = frame.size() - 3 - 4 - 8;
+  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(frame[variance_at + i], 0u);
   const auto decoded =
       service::decode_response(std::span<const uint8_t>(frame).subspan(4));
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
@@ -140,10 +142,8 @@ TEST(Protocol, ResponseRoundTripsStatsPlanAndOutput) {
   EXPECT_EQ(decoded->plan.backend, WireBackend::kNativeSwar);
   EXPECT_EQ(decoded->plan.score_source, 2);
   EXPECT_TRUE(decoded->plan.has_observed);
-  EXPECT_EQ(decoded->plan.observed_count, 12u);
-  EXPECT_DOUBLE_EQ(decoded->plan.observed_mean, 1234.5);
-  EXPECT_DOUBLE_EQ(decoded->plan.observed_variance, 6.25);
-  EXPECT_TRUE(decoded->explored);
+  EXPECT_EQ(decoded->plan.observed_count, 1u);
+  EXPECT_DOUBLE_EQ(decoded->plan.observed_mean, 1234.0);
   EXPECT_EQ(decoded->output, (std::vector<uint8_t>{9, 8, 7}));
 }
 
@@ -168,7 +168,6 @@ TEST(Protocol, ResponseWithoutObservedStatsStaysMinimal) {
   EXPECT_EQ(decoded->plan.score_source, 0);
   EXPECT_FALSE(decoded->plan.has_observed);
   EXPECT_EQ(decoded->plan.observed_count, 0u);
-  EXPECT_FALSE(decoded->explored);
 }
 
 TEST(Protocol, ResponseFlagAndScoreSourceValidationIsTyped) {
@@ -185,13 +184,15 @@ TEST(Protocol, ResponseFlagAndScoreSourceValidationIsTyped) {
   constexpr size_t kFlagsOffset = 4 + 50;  // +4: frame length prefix
   ASSERT_EQ(good[kFlagsOffset], 1u) << "plan flag expected where assumed";
 
-  {  // an unknown flag bit is kBadFlags, not silently ignored
+  // An unknown flag bit is kBadFlags, not silently ignored. Bit 2 (which
+  // once marked explored runs) is as unknown as any other.
+  for (const int bit : {2, 3, 7}) {
     auto bad = good;
-    bad[kFlagsOffset] |= 1u << 3;
+    bad[kFlagsOffset] |= static_cast<uint8_t>(1u << bit);
     const auto r =
         service::decode_response(std::span<const uint8_t>(bad).subspan(4));
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().code, ProtoCode::kBadFlags);
+    ASSERT_FALSE(r.ok()) << "bit " << bit;
+    EXPECT_EQ(r.error().code, ProtoCode::kBadFlags) << "bit " << bit;
   }
   {  // observed stats promised without a plan decision is kBadFlags
     auto bad = good;
@@ -487,32 +488,32 @@ TEST_F(ServiceRoundTrip, PlanModeReturnsTheDecision) {
   EXPECT_TRUE(r.response.has_plan);
   EXPECT_NE(r.response.plan.mode, WireMode::kPlan);
   EXPECT_NE(r.response.plan.backend, WireBackend::kAuto);
-  // First-ever request against a fresh server: history is cold, so the
-  // decision is model-sourced and carries no observed block, and a
-  // default tenant (explore_rate 0) never marks a response explored.
+  // First-ever request against a fresh server: the memo is cold, so the
+  // decision is model-sourced and carries no observed block.
   EXPECT_LE(r.response.plan.score_source, service::kWireScoreSourceMax);
-  EXPECT_EQ(r.response.plan.score_source, 0) << "cold history is model-only";
+  EXPECT_EQ(r.response.plan.score_source, 0) << "cold memo is model-only";
   EXPECT_FALSE(r.response.plan.has_observed);
-  EXPECT_FALSE(r.response.explored);
 
-  // Once the executed shape accumulates samples, responses surface the
-  // observed aggregate over the wire. Pin the simulator backend: only
-  // cycle history (not native wall-ns) enters the planner's blend.
+  // Once the chosen shape has run on the simulator, responses carry its
+  // exact cycles over the wire: count 1, the cycles as the mean (the
+  // variance slot is always 0.0, see ResponseRoundTripsStatsPlanAndOutput).
+  // Pin the simulator backend: native runs record nothing.
   req.backend = WireBackend::kSimulator;
-  for (uint64_t id = 100; id < 110; ++id) {
-    req.request_id = id;
-    const auto again = client.call(req);
-    ASSERT_TRUE(again.transport_ok) << again.transport_error;
-    ASSERT_EQ(again.response.status, WireStatus::kOk);
-  }
-  req.request_id = 110;
+  req.request_id = 100;
+  const auto first = client.call(req);
+  ASSERT_TRUE(first.transport_ok) << first.transport_error;
+  ASSERT_EQ(first.response.status, WireStatus::kOk);
+  req.request_id = 101;
   const auto warmed = client.call(req);
   ASSERT_TRUE(warmed.transport_ok) << warmed.transport_error;
   ASSERT_EQ(warmed.response.status, WireStatus::kOk);
   ASSERT_TRUE(warmed.response.has_plan);
+  ASSERT_TRUE(warmed.response.stats.has_cycles);
+  EXPECT_NE(warmed.response.plan.score_source, 1) << "1 is never emitted";
   EXPECT_TRUE(warmed.response.plan.has_observed);
-  EXPECT_GE(warmed.response.plan.observed_count, 3u);
-  EXPECT_GT(warmed.response.plan.observed_mean, 0.0);
+  EXPECT_EQ(warmed.response.plan.observed_count, 1u);
+  EXPECT_DOUBLE_EQ(warmed.response.plan.observed_mean,
+                   static_cast<double>(warmed.response.stats.cycles));
 }
 
 TEST_F(ServiceRoundTrip, ApiErrorsComeBackTyped) {
