@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
 
   if (names_only) {
     // Names need no capability probing — skip kernel_infos() so the CI
-    // docs check does not pay the registry's manual/native probe walks.
+    // docs check does not pay the registry's manual-variant probe.
     for (const auto& k : kernels::all_kernels()) {
       std::printf("%s\n", k->name().c_str());
     }
@@ -91,12 +91,11 @@ int main(int argc, char** argv) {
                     cold_label.c_str(), warm_label.c_str());
     }
     std::printf(
-        "| %s | %s | ref, MMX%s, auto | %s | %s | %s | %s | "
+        "| %s | %s | ref, MMX%s, auto | %s | sim, native | %s | %s | "
         "`test_kernels{,_spu}`, `test_registry_property` | `%s` |\n",
         info.name.c_str(), info.description.c_str(),
         info.has_manual_spu() ? ", SPU" : "",
         info.paper_suite ? "paper (Fig. 9)" : "extended",
-        info.native_backend() ? "sim, native" : "sim",
         tileable_cell(info.buffers).c_str(), planned,
         info.paper_suite ? "fig9_cycles" : "ablation_new_workloads");
   }

@@ -103,11 +103,11 @@ Result<Pipeline::Validated> Pipeline::validate() const {
     }
   }
 
+  const std::string context = stage_context(0, v.jobs.front().kernel);
+  const kernels::BufferSpec& first = v.specs.front();
   if (tile_) {
-    const std::string context = stage_context(0, v.jobs.front().kernel);
     std::string terr;
-    const auto geom =
-        runtime::plan_tiles(v.specs.front(), input_.size(), &terr);
+    const auto geom = runtime::plan_tiles(first, input_.size(), &terr);
     if (!geom) {
       return ApiError{ErrorCode::kTilingUnsupported, std::move(terr),
                       context};
@@ -121,31 +121,25 @@ Result<Pipeline::Validated> Pipeline::validate() const {
                       context};
     }
     v.geom = *geom;
-    const size_t want = geom->tiles * v.specs.back().output_bytes;
-    if (!output_.empty() && output_.size() != want) {
-      return ApiError{
-          ErrorCode::kBufferSizeMismatch,
-          "pipeline output is " + std::to_string(output_.size()) +
-              " bytes, the gathered tiled output is " + std::to_string(want),
-          stage_context(v.specs.size() - 1, v.jobs.back().kernel)};
+  } else {
+    if (input_.size() != first.input_bytes) {
+      return ApiError{ErrorCode::kBufferSizeMismatch,
+                      "pipeline input is " + std::to_string(input_.size()) +
+                          " bytes, first stage wants " +
+                          std::to_string(first.input_bytes),
+                      context};
     }
-    return v;
+    // An untiled chain is the one-tile case of a streamed one; run_tiled
+    // reads only the tile count, the stride and the tile size.
+    v.geom.tiles = 1;
+    v.geom.input_stride = v.geom.tile_input_bytes = first.input_bytes;
   }
-
-  if (input_.size() != v.specs.front().input_bytes) {
-    return ApiError{
-        ErrorCode::kBufferSizeMismatch,
-        "pipeline input is " + std::to_string(input_.size()) +
-            " bytes, first stage wants " +
-            std::to_string(v.specs.front().input_bytes),
-        stage_context(0, v.jobs.front().kernel)};
-  }
-  if (!output_.empty() && output_.size() != v.specs.back().output_bytes) {
+  const size_t want = v.geom.tiles * v.specs.back().output_bytes;
+  if (!output_.empty() && output_.size() != want) {
     return ApiError{
         ErrorCode::kBufferSizeMismatch,
         "pipeline output is " + std::to_string(output_.size()) +
-            " bytes, last stage produces " +
-            std::to_string(v.specs.back().output_bytes),
+            " bytes, the last stage produces " + std::to_string(want),
         stage_context(v.specs.size() - 1, v.jobs.back().kernel)};
   }
   return v;
@@ -154,7 +148,7 @@ Result<Pipeline::Validated> Pipeline::validate() const {
 Result<PipelineRun> Pipeline::run() {
   auto v = validate();
   if (!v.ok()) return v.error();
-  return tile_ ? run_tiled(*std::move(v)) : run_untiled(*std::move(v));
+  return run_tiled(*std::move(v));
 }
 
 Result<SubmittedPipeline> Pipeline::submit() {
@@ -184,48 +178,6 @@ Result<PipelineRun> SubmittedPipeline::wait() {
                     "pipeline"};
   }
   return fut_.get();
-}
-
-Result<PipelineRun> Pipeline::run_untiled(Validated v) {
-  // -- Execute stage by stage (each stage depends on its predecessor) -------
-  PipelineRun out;
-  out.stages.reserve(v.jobs.size());
-  out.all_cache_hits = true;
-  out.total_cycles = 0;
-  std::vector<uint8_t> upstream;              // previous stage's output
-  std::span<const uint8_t> feed = input_;     // what the next stage reads
-  for (size_t i = 0; i < v.jobs.size(); ++i) {
-    const std::string kernel = v.jobs[i].kernel;
-    const std::string context = stage_context(i, kernel);
-    std::vector<uint8_t> stage_out(v.specs[i].output_bytes);
-    v.jobs[i].buffers.input = feed.first(v.specs[i].input_bytes);
-    v.jobs[i].buffers.output = stage_out;
-    auto fut = session_->engine_.submit(std::move(v.jobs[i]));
-    // to_response maps a failed stage verification to kVerificationFailed,
-    // so an ok() response here is bit-exact for the data the stage saw.
-    auto resp = detail::to_response(fut.get(), context);
-    if (!resp.ok()) return resp.error();
-    if (const auto c = resp->run.stats.cycles_opt(); c && out.total_cycles) {
-      *out.total_cycles += *c;
-    } else {
-      out.total_cycles.reset();  // a cycle-less stage voids the total
-    }
-    out.total_routed_operands += resp->run.stats.spu_routed_ops;
-    out.all_cache_hits = out.all_cache_hits && resp->cache_hit;
-    StageRun sr;
-    sr.kernel = kernel;
-    sr.response = *std::move(resp);
-    sr.input_bytes = v.specs[i].input_bytes;
-    sr.output_bytes = v.specs[i].output_bytes;
-    out.stages.push_back(std::move(sr));
-    upstream = std::move(stage_out);
-    feed = upstream;
-  }
-  if (!output_.empty()) {
-    std::copy(upstream.begin(), upstream.end(), output_.begin());
-  }
-  out.output = std::move(upstream);
-  return out;
 }
 
 Result<PipelineRun> Pipeline::run_tiled(Validated v) {

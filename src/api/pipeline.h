@@ -126,10 +126,9 @@ class Pipeline {
   struct Validated {
     std::vector<runtime::KernelJob> jobs;          // per-stage prototypes
     std::vector<kernels::BufferSpec> specs;
-    runtime::TileGeometry geom;                    // meaningful when tiled
+    runtime::TileGeometry geom;                    // one tile when untiled
   };
   [[nodiscard]] Result<Validated> validate() const;
-  [[nodiscard]] Result<PipelineRun> run_untiled(Validated v);
   [[nodiscard]] Result<PipelineRun> run_tiled(Validated v);
 
   Session* session_;

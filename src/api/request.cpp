@@ -120,18 +120,10 @@ Result<runtime::KernelJob> Request::build() const {
                     "orchestrator); use one or the other",
                     context};
   }
-  if (plan_) {
-    if (area_budget_mm2_ < 0 || max_delay_ns_ < 0) {
-      return ApiError{ErrorCode::kInvalidArgument,
-                      "planner budgets must be >= 0 (0 = unconstrained)",
-                      context};
-    }
-    // A pinned backend is validated per *shape* by the planner itself
-    // (executable_on restricts the search; plan_kernel throws a
-    // LoweringError — surfaced as kBackendUnsupported — when no feasible
-    // candidate can execute there). The coarse KernelInfo::native_backend
-    // flag is deliberately not consulted here: it ANDs several shapes and
-    // would reject kernels the planner could still plan natively.
+  if (plan_ && (area_budget_mm2_ < 0 || max_delay_ns_ < 0)) {
+    return ApiError{ErrorCode::kInvalidArgument,
+                    "planner budgets must be >= 0 (0 = unconstrained)",
+                    context};
   }
   if (!plan_ && use_spu_ && mode_ == kernels::SpuMode::Manual &&
       !info->has_manual_spu()) {
@@ -139,20 +131,6 @@ Result<runtime::KernelJob> Request::build() const {
                     "kernel has no hand-written SPU variant; use "
                     "auto_orchestrate()",
                     context};
-  }
-  // Native-backend support is validated for the *exact* knob combination,
-  // not just the kernel: a config/mode whose lowering proof fails must be a
-  // typed build-time error, never a surprise from deep inside prepare.
-  if (!plan_ && backend_ == ExecBackend::kNativeSwar &&
-      !info->native_supported(use_spu_, mode_, cfg_)) {
-    std::string what = "kernel '" + info->name + "' cannot run ";
-    what += use_spu_ ? (mode_ == kernels::SpuMode::Manual
-                            ? "its manual SPU variant under config "
-                            : "auto-orchestrated under config ")
-                     : "as baseline under config ";
-    what += cfg_.name;
-    what += " on the native-SWAR backend; use the simulator backend";
-    return ApiError{ErrorCode::kBackendUnsupported, std::move(what), context};
   }
   if (tile_) {
     if (!info->buffers.supported()) {

@@ -115,9 +115,10 @@ class Request {
   // Execution backend: the cycle-level simulator (default — the only
   // backend with cycle statistics) or the native-SWAR trace executor
   // (bit-identical outputs, order-of-magnitude faster, cycle stats zero).
-  // Kernels whose programs the lowering cannot prove data-independent
-  // report kBackendUnsupported at build() time (KernelInfo::native_backend
-  // enumerates support).
+  // build() does not probe the lowering: a shape the lowering cannot prove
+  // data-independent, or whose trace exceeds the lowering's size cap,
+  // reports kBackendUnsupported from run()/wait(), naming the op and the
+  // config.
   Request& backend(ExecBackend b);
 
   // Tile the bound input frame across the engine: the request fans out as

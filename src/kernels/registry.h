@@ -34,14 +34,17 @@ inline constexpr size_t kPaperSuiteSize = 8;
 // variant exists (SpuMode::Manual is only buildable then), and the
 // user-owned-buffer contract.
 //
-// Capability probes (manual variant, native-backend lowerability) are
-// expensive — they build programs and, for the native proofs, run the
-// orchestrator — so they are *lazy*: the accessor methods below probe on
-// first call per kernel and memoize the answer process-wide. Enumerating
-// the registry (kernel_infos(), Session construction, `kernel_table
-// --names`) therefore costs no orchestrator runs; only kernels whose
-// capabilities are actually consulted ever pay for a probe. KernelInfo is
-// freely copyable — copies share the registry-side memo table.
+// The one capability probe (manual variant) builds programs, so it is
+// *lazy*: has_manual_spu() probes on first call per kernel and memoizes the
+// answer process-wide. Enumerating the registry (kernel_infos(), Session
+// construction, `kernel_table --names`) therefore costs no orchestrator
+// runs. KernelInfo is freely copyable — copies share the registry-side
+// memo table.
+//
+// There is no native-backend probe: whether one exact shape runs on
+// ExecBackend::kNativeSwar is decided by the real lowering inside the
+// engine's cached preparation, and a rejection arrives as a typed
+// kBackendUnsupported from run()/wait() (see backend/lowering.h).
 struct KernelInfo {
   std::string name;
   std::string description;
@@ -54,22 +57,10 @@ struct KernelInfo {
   // Lazy: probes every config on first call, memoized thereafter.
   [[nodiscard]] bool has_manual_spu() const;
 
-  // Executable on ExecBackend::kNativeSwar: the kernel's baseline, manual
-  // (where realizable) and auto-orchestrated programs under configs A and D
-  // all pass the lowering proof. False means the proof failed somewhere
-  // (data-dependent control flow) and the facade reports
-  // kBackendUnsupported for native requests. Lazy + memoized; the probe
-  // really lowers, so the flag can never drift from backend reality.
-  [[nodiscard]] bool native_backend() const;
-
-  // Fine-grained native support for one concrete preparation shape: can
-  // (use_spu, mode, cfg) at repeats=1 be lowered onto the native backend?
-  // This is what Request::build() consults so a native request whose exact
-  // knob combination the lowering would reject fails at build time (typed
-  // kBackendUnsupported naming kernel and config) instead of surfacing
-  // from deep inside prepare. Lazy + memoized per combination.
-  [[nodiscard]] bool native_supported(bool use_spu, SpuMode mode,
-                                      const core::CrossbarConfig& cfg) const;
+  // Always true and does no work: every registered kernel is offered on
+  // the native backend, and the cached preparation's lowering is the only
+  // proof for a concrete shape. Kept for callers that still ask.
+  [[nodiscard]] bool native_backend() const { return true; }
 };
 
 // Descriptors for every registered kernel, registry order. Built once per

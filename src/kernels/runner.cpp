@@ -32,7 +32,17 @@ PreparedProgram prepare_spu(const MediaKernel& k, int repeats,
   p.repeats = repeats;
 
   if (mode == SpuMode::Manual) {
-    auto manual = k.build_spu(cfg, repeats);
+    std::optional<isa::Program> manual;
+    try {
+      manual = k.build_spu(cfg, repeats);
+    } catch (const std::logic_error& e) {
+      // MicroBuilder rejects routes the geometry cannot carry; say which
+      // kernel and config, so the caller's error is actionable.
+      throw std::logic_error("prepare_spu: kernel '" + k.name() +
+                             "' manual SPU variant is not realizable under "
+                             "config " + std::string(cfg.name) + ": " +
+                             e.what());
+    }
     if (!manual.has_value()) {
       throw std::logic_error("prepare_spu: kernel '" + k.name() +
                              "' has no manual SPU variant");
@@ -78,11 +88,14 @@ void check_binding(const MediaKernel& k, const BufferSpec& spec,
   }
 }
 
-}  // namespace
-
-KernelRun execute_prepared(const MediaKernel& k, const PreparedProgram& p,
-                           sim::Machine* scratch,
-                           const BufferBinding* buffers) {
+// The execute sequence both backends share, in the phase order perfbench's
+// replica times: binding check → init_memory → bind_input → `run` → verify
+// (against the bound input when there is one) → copy-back. `mem` is the
+// already-reset arena `run` executes on.
+template <typename RunStep>
+KernelRun execute_envelope(const MediaKernel& k, const PreparedProgram& p,
+                           sim::Memory& mem, const BufferBinding* buffers,
+                           RunStep&& run) {
   const bool bound = buffers != nullptr && !buffers->empty();
   BufferSpec spec;
   if (bound) {
@@ -92,7 +105,26 @@ KernelRun execute_prepared(const MediaKernel& k, const PreparedProgram& p,
 
   KernelRun out;
   out.orchestration = p.orchestration;
+  k.init_memory(mem);
+  const bool bound_input = bound && !buffers->input.empty();
+  if (bound_input) k.bind_input(mem, buffers->input);
+  out.stats = run();
+  out.verified = bound_input ? k.verify_bound(mem, buffers->input)
+                             : k.verify(mem);
+  // Copy back only verified outputs: a failed verification must never
+  // clobber the caller's buffer with divergent data.
+  if (bound && out.verified && !buffers->output.empty()) {
+    const auto bytes = mem.view(spec.output_addr, spec.output_bytes);
+    std::copy(bytes.begin(), bytes.end(), buffers->output.begin());
+  }
+  return out;
+}
 
+}  // namespace
+
+KernelRun execute_prepared(const MediaKernel& k, const PreparedProgram& p,
+                           sim::Machine* scratch,
+                           const BufferBinding* buffers) {
   std::optional<sim::Machine> local;
   sim::Machine* m;
   if (scratch != nullptr && scratch->memory().size() == kMemBytes) {
@@ -124,18 +156,8 @@ KernelRun execute_prepared(const MediaKernel& k, const PreparedProgram& p,
     m->memory().map_device(p.mmio_base, core::SpuMmio::kWindowSize, &*mmio);
     m->set_router(&*spu);
   }
-  k.init_memory(m->memory());
-  const bool bound_input = bound && !buffers->input.empty();
-  if (bound_input) k.bind_input(m->memory(), buffers->input);
-  out.stats = m->run();
-  out.verified = bound_input ? k.verify_bound(m->memory(), buffers->input)
-                             : k.verify(m->memory());
-  // Copy back only verified outputs: a failed verification must never
-  // clobber the caller's buffer with divergent data.
-  if (bound && out.verified && !buffers->output.empty()) {
-    const auto bytes = m->memory().view(spec.output_addr, spec.output_bytes);
-    std::copy(bytes.begin(), bytes.end(), buffers->output.begin());
-  }
+  KernelRun out =
+      execute_envelope(k, p, m->memory(), buffers, [m] { return m->run(); });
   if (spu) out.spu = spu->run_stats();
   return out;
 }
@@ -165,16 +187,6 @@ KernelRun execute_native(const MediaKernel& k, const PreparedProgram& p,
                            k.name() + "' carries no native trace; prepare "
                            "with lower_native first");
   }
-  const bool bound = buffers != nullptr && !buffers->empty();
-  BufferSpec spec;
-  if (bound) {
-    spec = k.buffer_spec();
-    check_binding(k, spec, *buffers);
-  }
-
-  KernelRun out;
-  out.orchestration = p.orchestration;
-
   std::optional<sim::Memory> local;
   sim::Memory* mem;
   if (scratch != nullptr && scratch->size() == kMemBytes) {
@@ -185,27 +197,19 @@ KernelRun execute_native(const MediaKernel& k, const PreparedProgram& p,
     local.emplace(kMemBytes);
     mem = &*local;
   }
-
-  k.init_memory(*mem);
-  const bool bound_input = bound && !buffers->input.empty();
-  if (bound_input) k.bind_input(*mem, buffers->input);
-
-  backend::NativeState st;
-  st.mem = mem;
-  backend::run_trace(*p.native, st);
-
-  // No cycle model ran; report the dynamic instruction count the trace
-  // replaced so throughput accounting stays meaningful, and mark the cycle
-  // stats absent so mixed-backend aggregation cannot absorb the zero.
-  out.stats.instructions = p.native->source_instructions;
-  out.stats.has_cycles = false;
-  out.verified = bound_input ? k.verify_bound(*mem, buffers->input)
-                             : k.verify(*mem);
-  if (bound && out.verified && !buffers->output.empty()) {
-    const auto bytes = mem->view(spec.output_addr, spec.output_bytes);
-    std::copy(bytes.begin(), bytes.end(), buffers->output.begin());
-  }
-  return out;
+  return execute_envelope(k, p, *mem, buffers, [&] {
+    backend::NativeState st;
+    st.mem = mem;
+    backend::run_trace(*p.native, st);
+    // No cycle model ran; report the dynamic instruction count the trace
+    // replaced so throughput accounting stays meaningful, and mark the
+    // cycle stats absent so mixed-backend aggregation cannot absorb the
+    // zero.
+    sim::RunStats stats;
+    stats.instructions = p.native->source_instructions;
+    stats.has_cycles = false;
+    return stats;
+  });
 }
 
 KernelRun run_baseline(const MediaKernel& k, int repeats,

@@ -51,8 +51,8 @@ namespace subword::kernels {
 //  * kNativeSwar: the pre-decoded host-SWAR trace executor in src/backend —
 //    bit-identical outputs, no cycle model, one to two orders of magnitude
 //    faster. Only available for programs the lowering can prove
-//    data-independent (see backend/lowering.h); KernelInfo::native_backend
-//    says which registry kernels qualify.
+//    data-independent (see backend/lowering.h); lower_native is that proof,
+//    run once per shape inside the cached preparation.
 enum class ExecBackend : uint8_t {
   kSimulator,
   kNativeSwar,

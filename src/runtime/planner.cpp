@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "backend/lowering.h"
 #include "kernels/registry.h"
 
 namespace subword::runtime {
@@ -36,22 +35,6 @@ bool within_budget(const PlanCandidate& c, const PlanBudget& b,
   return true;
 }
 
-// When the caller pinned the native backend, a candidate the lowering
-// cannot execute is not a choice at all.
-bool executable_on(const PlanOptions& opts, const kernels::MediaKernel& k,
-                   bool use_spu, kernels::SpuMode mode,
-                   const core::CrossbarConfig& cfg, std::string* note) {
-  if (!opts.backend || *opts.backend != kernels::ExecBackend::kNativeSwar) {
-    return true;
-  }
-  const auto* info = kernels::find_kernel_info(k.name());
-  if (info != nullptr && info->native_supported(use_spu, mode, cfg)) {
-    return true;
-  }
-  *note = "pinned native backend cannot execute this shape";
-  return false;
-}
-
 }  // namespace
 
 std::string PlanCandidate::label() const {
@@ -77,10 +60,6 @@ std::vector<PlanCandidate> score_candidates(const kernels::MediaKernel& k,
     base.use_spu = false;
     base.est_benefit = 0;
     base.score = 0;
-    if (!executable_on(opts, k, false, kernels::SpuMode::Auto, core::kConfigA,
-                       &base.note)) {
-      base.feasible = false;
-    }
     out.push_back(std::move(base));
   }
 
@@ -110,8 +89,7 @@ std::vector<PlanCandidate> score_candidates(const kernels::MediaKernel& k,
     c.mode = kernels::SpuMode::Auto;
     c.cfg = cfg;
     price_config(cfg, c);
-    if (!within_budget(c, opts.budget, &c.note) ||
-        !executable_on(opts, k, true, c.mode, cfg, &c.note)) {
+    if (!within_budget(c, opts.budget, &c.note)) {
       c.feasible = false;
       out.push_back(std::move(c));
       continue;
@@ -138,12 +116,12 @@ std::vector<PlanCandidate> score_candidates(const kernels::MediaKernel& k,
   // -- Manual candidates: the paper's hand-recoded variants (§5.2.1) --------
   if (opts.allow_manual) {
     if (!have_dyn) {
-      // Every auto candidate was infeasible (budget starvation, pinned
-      // backend), so no dry-run ran above. The manual scoring still needs
-      // the baseline's dynamic permutation pool — a zero pool would score
-      // every manual variant to est_benefit <= 0 and silently plan a
-      // pessimal baseline. The loop inventory is config-independent, so
-      // one dry-run under A serves.
+      // Every auto candidate was infeasible (budget starvation), so no
+      // dry-run ran above. The manual scoring still needs the baseline's
+      // dynamic permutation pool — a zero pool would score every manual
+      // variant to est_benefit <= 0 and silently plan a pessimal baseline.
+      // The loop inventory is config-independent, so one dry-run under A
+      // serves.
       core::OrchestratorOptions oo;
       oo.config = core::kConfigA;
       collect_dyn(core::Orchestrator(oo).run(base_prog));
@@ -154,8 +132,7 @@ std::vector<PlanCandidate> score_candidates(const kernels::MediaKernel& k,
       c.mode = kernels::SpuMode::Manual;
       c.cfg = cfg;
       price_config(cfg, c);
-      if (!within_budget(c, opts.budget, &c.note) ||
-          !executable_on(opts, k, true, c.mode, cfg, &c.note)) {
+      if (!within_budget(c, opts.budget, &c.note)) {
         c.feasible = false;
         out.push_back(std::move(c));
         continue;
@@ -319,32 +296,11 @@ Plan plan_kernel(const kernels::MediaKernel& k, int repeats,
   std::vector<PlanCandidate> candidates = score_candidates(k, repeats, opts);
   apply_measurements(k.name(), repeats, opts.history, &candidates);
   Plan plan = pick_plan(k.name(), repeats, std::move(candidates));
-  if (opts.backend.has_value()) {
-    if (*opts.backend == kernels::ExecBackend::kNativeSwar) {
-      // pick_plan falls back to baseline even when the baseline candidate
-      // was marked infeasible (a pinned backend that cannot execute it).
-      // Handing that plan to the engine would surface a LoweringError from
-      // deep inside prepare — the exact failure mode planning exists to
-      // turn into a typed error — so reject it here instead.
-      const auto* info = kernels::find_kernel_info(k.name());
-      if (info == nullptr ||
-          !info->native_supported(plan.use_spu, plan.mode, plan.cfg)) {
-        throw backend::LoweringError(
-            "planner: no native-executable plan for kernel '" + k.name() +
-            "' (pinned backend rejects every feasible candidate)");
-      }
-    }
-    plan.backend = *opts.backend;
-  } else {
-    // Prefer the native-SWAR executor whenever the chosen shape passes the
-    // lowering proof: bit-identical outputs, order-of-magnitude faster.
-    // Callers that need cycle statistics pin the simulator instead.
-    const auto* info = kernels::find_kernel_info(k.name());
-    if (info != nullptr &&
-        info->native_supported(plan.use_spu, plan.mode, plan.cfg)) {
-      plan.backend = kernels::ExecBackend::kNativeSwar;
-    }
-  }
+  // Native-SWAR unless pinned: bit-identical outputs, order-of-magnitude
+  // faster. Callers that need cycle statistics pin the simulator. Whether
+  // the chosen shape lowers is decided by its cached preparation, which
+  // reports a rejection as a typed LoweringError.
+  plan.backend = opts.backend.value_or(kernels::ExecBackend::kNativeSwar);
   plan.summary.backend = plan.backend;
   return plan;
 }

@@ -25,10 +25,11 @@
 //     fall back to the plain MMX baseline whenever nothing removes any
 //     permutation — the zero-permutation trap becomes a planned outcome
 //     instead of a documented gotcha;
-//  5. pick the execution backend: native-SWAR when the chosen shape
-//     passes the lowering proof (KernelInfo::native_supported), else the
-//     cycle-level simulator. Callers that need cycle statistics pin the
-//     simulator via PlanOptions::backend.
+//  5. pick the execution backend: native-SWAR unless PlanOptions::backend
+//     pins one. Callers that need cycle statistics pin the simulator. The
+//     planner does not probe the lowering: the engine's cached preparation
+//     lowers the chosen shape for real and reports a rejection as a typed
+//     kBackendUnsupported.
 //
 // Planning is deterministic (pure function of kernel, repeats and
 // options), so runtime::OrchestrationCache memoizes decisions under
@@ -90,8 +91,8 @@ struct PlanOptions {
   // Consider the kernel's hand-written SPU variant (paper §5.2.1). The
   // auto-only space is what the orchestrator can reach unaided.
   bool allow_manual = true;
-  // Pin the execution backend instead of letting the planner choose.
-  // Candidates the pinned backend cannot execute become infeasible.
+  // Pin the execution backend instead of letting the planner choose. The
+  // pin does not narrow the candidate field.
   std::optional<kernels::ExecBackend> backend;
   // Exact simulator cycles to score with (see the header comment). Null:
   // pure Table-1 model. The pointee must outlive the planning call; it is
@@ -105,7 +106,7 @@ struct PlanCandidate {
   bool use_spu = false;
   kernels::SpuMode mode = kernels::SpuMode::Auto;
   core::CrossbarConfig cfg{};     // meaningful when use_spu
-  bool feasible = true;           // within budget, realizable, executable
+  bool feasible = true;           // within budget and realizable
   std::string note;               // infeasibility reason / diagnostics
   // Dry-run product for auto candidates (zeroed for baseline/manual).
   core::OrchestrationReport report;
@@ -188,7 +189,7 @@ void apply_measurements(const std::string& kernel, int repeats,
                              std::vector<PlanCandidate> candidates);
 
 // The full pipeline: score, pick, and resolve the execution backend
-// (native-SWAR when the chosen shape lowers, unless opts.backend pins).
+// (native-SWAR unless opts.backend pins).
 [[nodiscard]] Plan plan_kernel(const kernels::MediaKernel& k, int repeats,
                                const PlanOptions& opts = {});
 

@@ -194,6 +194,36 @@ TEST(RequestRun, DoubleWaitIsATypedErrorNotAThrow) {
   EXPECT_EQ(second.error().code, ErrorCode::kInvalidArgument);
 }
 
+// No build-time probe: the engine's cached lowering is the only thing that
+// decides whether a shape runs natively. FFT1024 at 512 repeats passes
+// build() and is then rejected by the lowering's runaway guard (max_ops);
+// the rejection arrives typed from run() and wait(), naming op and config.
+TEST(RequestRun, NativeLoweringRejectionArrivesTypedFromRunAndWait) {
+  Session session({.workers = 1, .cache = nullptr});
+  const auto request = [&] {
+    return session.request("FFT1024")
+        .repeats(512)
+        .spu(core::kConfigA)
+        .manual_spu()
+        .backend(api::ExecBackend::kNativeSwar);
+  };
+  ASSERT_TRUE(request().build().ok());
+  const auto expect_rejection = [](const api::Result<api::Response>& r) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ErrorCode::kBackendUnsupported);
+    EXPECT_NE(r.error().message.find("max_ops"), std::string::npos)
+        << r.error().message;
+    EXPECT_NE(r.error().message.find("[op "), std::string::npos)
+        << r.error().message;
+    EXPECT_NE(r.error().message.find("config A]"), std::string::npos)
+        << r.error().message;
+  };
+  expect_rejection(request().run());
+  auto submitted = request().submit();
+  ASSERT_TRUE(submitted.ok()) << submitted.error().to_string();
+  expect_rejection(submitted->wait());
+}
+
 TEST(RequestRun, SubmitAfterShutdownIsASessionShutdownError) {
   Session session({.workers = 1, .cache = nullptr});
   session.shutdown();
@@ -217,6 +247,19 @@ TEST(Pipeline, InputSizeMustMatchFirstStage) {
   const auto r = session.pipeline()
                      .then(session.request("Color Convert"))
                      .input(std::span<const int16_t>(tiny))
+                     .run();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, ErrorCode::kBufferSizeMismatch);
+}
+
+TEST(Pipeline, OutputSizeMustMatchLastStage) {
+  Session session({.workers = 1, .cache = nullptr});
+  const auto rgb = ref::make_pixels(3 * 256, 0x5);
+  std::vector<uint8_t> small_out(16);
+  const auto r = session.pipeline()
+                     .then(session.request("Color Convert"))
+                     .input(std::span<const int16_t>(rgb))
+                     .output(std::span<uint8_t>(small_out))
                      .run();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, ErrorCode::kBufferSizeMismatch);
@@ -338,6 +381,14 @@ TEST(Pipeline, ReplayedPipelineHitsTheCacheWithFreshData) {
     ASSERT_TRUE(run.ok()) << run.error().to_string();
     if (frame > 0) {
       EXPECT_TRUE(run->all_cache_hits) << "frame " << frame;
+    }
+    // An untiled run is one tile, and each stage one job on one worker.
+    EXPECT_EQ(run->tiles, 1u);
+    for (const auto& st : run->stages) {
+      EXPECT_EQ(st.response.jobs_fanned_out, 1u) << st.kernel;
+      EXPECT_EQ(st.response.tile_cache_hits, frame > 0 ? 1u : 0u)
+          << st.kernel;
+      EXPECT_EQ(st.response.workers_used, 1) << st.kernel;
     }
   }
   const auto s = session.stats();

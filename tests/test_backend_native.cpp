@@ -4,8 +4,8 @@
 // The backend's whole contract is bit-exactness: replaying a lowered trace
 // must leave the memory arena and the MMX register file byte-identical to
 // simulating the program it was lowered from. The suite checks that for
-// every lowerable registry kernel across baseline / manual SPU / auto-
-// orchestrated preparations under crossbar configs A and D, with both
+// every registry kernel across baseline / manual SPU / auto-orchestrated
+// preparations under every registered crossbar config, with both
 // synthetic and caller-bound buffers, at the runner, engine (cache) and
 // facade (Request/Pipeline) levels — plus the lowering walker's rejection
 // paths for programs that genuinely cannot be lowered.
@@ -103,40 +103,27 @@ void expect_bitexact(const MediaKernel& k, PreparedProgram p,
   }
 }
 
-// Every lowerable registry kernel, every preparation shape the facade can
-// produce, configs A and D, with loop re-entry (repeats=2).
+// Every registry kernel, every preparation shape the facade can produce,
+// every registered config, with loop re-entry (repeats=2). This is the
+// proof that the whole wire-reachable space lowers and replays bit-exactly:
+// nothing at runtime probes the lowering ahead of the cached preparation.
 TEST(BackendNativeDifferential, EveryLowerableKernelEveryPreparation) {
   constexpr int kRepeats = 2;
   for (const auto& info : kernels::kernel_infos()) {
-    if (!info.native_backend()) continue;
     const auto k = kernels::make_kernel(info.name);
     expect_bitexact(*k, kernels::prepare_baseline(*k, kRepeats),
                     info.name + "/baseline");
-    for (const auto& cfg : {core::kConfigA, core::kConfigD}) {
+    for (const auto& cfg : core::kAllConfigs) {
       const std::string cfg_name(cfg.name);
       if (info.has_manual_spu()) {
-        try {
-          auto manual =
-              kernels::prepare_spu(*k, kRepeats, cfg, SpuMode::Manual);
-          expect_bitexact(*k, std::move(manual),
-                          info.name + "/manual/" + cfg_name);
-        } catch (const std::logic_error&) {
-          // Manual variant not realizable under this geometry; the
-          // simulator cannot run it either.
-        }
+        expect_bitexact(*k,
+                        kernels::prepare_spu(*k, kRepeats, cfg, SpuMode::Manual),
+                        info.name + "/manual/" + cfg_name);
       }
       expect_bitexact(*k,
                       kernels::prepare_spu(*k, kRepeats, cfg, SpuMode::Auto),
                       info.name + "/auto/" + cfg_name);
     }
-  }
-}
-
-// The whole registry lowers today — lock that in so a kernel change that
-// silently loses native support fails loudly here instead of falling back.
-TEST(BackendNativeDifferential, WholeRegistryIsLowerable) {
-  for (const auto& info : kernels::kernel_infos()) {
-    EXPECT_TRUE(info.native_backend()) << info.name;
   }
 }
 
@@ -146,7 +133,7 @@ TEST(BackendNativeDifferential, WholeRegistryIsLowerable) {
 TEST(BackendNativeDifferential, BoundBuffersMatchSimulatorThroughFacade) {
   api::Session session({.workers = 2, .cache = nullptr});
   for (const auto& info : session.kernels()) {
-    if (!info.native_backend() || !info.buffers.supported()) continue;
+    if (!info.buffers.supported()) continue;
     SCOPED_TRACE(info.name);
     // In-contract input: the kernel's own synthetic workload bytes.
     sim::Memory staging(kernels::kMemBytes);

@@ -37,13 +37,11 @@ TEST(RegistryLaziness, SessionConstructionTriggersZeroOrchestratorRuns) {
       << "constructing a Session (or listing kernels) must not pay for "
          "capability probes the caller never asked for";
 
-  // Consulting a native capability is what triggers the (memoized) probe.
+  // The native capability is a constant: asking costs no orchestrator run
+  // (the cached preparation's lowering is the only proof for a shape).
   EXPECT_TRUE(infos.front().native_backend());
-  const uint64_t after_probe = core::Orchestrator::total_runs();
-  EXPECT_GT(after_probe, before) << "the probe really runs the orchestrator";
-  EXPECT_TRUE(infos.front().native_backend());
-  EXPECT_EQ(core::Orchestrator::total_runs(), after_probe)
-      << "the probe is memoized: asking twice costs nothing";
+  EXPECT_EQ(core::Orchestrator::total_runs(), before)
+      << "native_backend() must not probe";
 }
 
 // -- Pure decision core ------------------------------------------------------
@@ -346,38 +344,27 @@ TEST(PlannerCache, PlannedJobsShareThePreparedProgramCache) {
       << "the explicit twin of a planned job must hit the same entry";
 }
 
-// -- Native-backend validation at build time ---------------------------------
+// -- An unrealizable manual variant ------------------------------------------
 
 TEST(RequestValidation, NativeBackendErrorsNameKernelAndConfig) {
   Session session({.workers = 1, .cache = nullptr});
-  // A 2x2 half-word crossbar cannot carry any manual variant's routes, so
-  // the probe rejects the shape — the error must surface at build() time
-  // (typed, naming kernel and config), never from deep inside prepare.
+  // A 2x2 half-word crossbar cannot carry any manual variant's routes.
+  // The failure is the preparation's, not a backend's, so both backends
+  // report it the same way: typed, naming kernel and config.
   constexpr core::CrossbarConfig kTiny{"tiny2x2", 2, 2, 16};
-  const auto r = session.request("FIR12")
-                     .spu(kTiny)
-                     .manual_spu()
-                     .backend(api::ExecBackend::kNativeSwar)
-                     .run();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, api::ErrorCode::kBackendUnsupported);
-  EXPECT_NE(r.error().message.find("FIR12"), std::string::npos);
-  EXPECT_NE(r.error().message.find("tiny2x2"), std::string::npos);
-}
-
-TEST(RequestValidation, EveryRegistryShapeLowersToday) {
-  // Lock in the current reality: all kernels x modes x configs pass the
-  // per-shape lowering probe, so the build()-time rejection above is the
-  // only gate a native caller can hit.
-  for (const auto& info : kernels::kernel_infos()) {
-    EXPECT_TRUE(info.native_supported(false, kernels::SpuMode::Auto,
-                                      core::kConfigA))
-        << info.name << " baseline";
-    for (const auto& cfg : core::kAllConfigs) {
-      EXPECT_TRUE(info.native_supported(true, kernels::SpuMode::Auto, cfg))
-          << info.name << " auto " << cfg.name;
-      EXPECT_TRUE(info.native_supported(true, kernels::SpuMode::Manual, cfg))
-          << info.name << " manual " << cfg.name;
-    }
+  for (const auto backend :
+       {api::ExecBackend::kSimulator, api::ExecBackend::kNativeSwar}) {
+    SCOPED_TRACE(kernels::to_string(backend));
+    const auto r = session.request("FIR12")
+                       .spu(kTiny)
+                       .manual_spu()
+                       .backend(backend)
+                       .run();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, api::ErrorCode::kExecutionFailed);
+    EXPECT_NE(r.error().message.find("FIR12"), std::string::npos)
+        << r.error().message;
+    EXPECT_NE(r.error().message.find("tiny2x2"), std::string::npos)
+        << r.error().message;
   }
 }

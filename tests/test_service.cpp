@@ -441,8 +441,6 @@ TEST_F(ServiceRoundTrip, BothBackendsBitExactAgainstLocalReference) {
   const auto input = pixel_input(info->buffers.input_bytes);
 
   for (const bool native : {false, true}) {
-    if (native && !info->native_backend()) continue;
-
     std::vector<uint8_t> expected(info->buffers.output_bytes);
     {
       api::Session local;
@@ -535,6 +533,36 @@ TEST_F(ServiceRoundTrip, ApiErrorsComeBackTyped) {
   ASSERT_TRUE(r2.transport_ok) << r2.transport_error;
   EXPECT_EQ(r2.response.status, WireStatus::kOk);
   EXPECT_EQ(r2.response.request_id, 5u);
+}
+
+// A shape the native lowering rejects (here its max_ops runaway guard)
+// comes back over the wire as a typed kBackendUnsupported naming the op
+// and the config, and the connection stays usable.
+TEST_F(ServiceRoundTrip, NativeLoweringRejectionComesBackTyped) {
+  auto client = connect();
+  WireRequest req;
+  req.request_id = 6;
+  req.kernel = "FFT1024";
+  req.repeats = 512;
+  req.mode = WireMode::kManualSpu;
+  req.config = 0;  // A
+  req.backend = WireBackend::kNativeSwar;
+  const auto r = client.call(req);
+  ASSERT_TRUE(r.transport_ok) << r.transport_error;
+  ASSERT_EQ(r.response.status, WireStatus::kApiError);
+  api::ErrorCode code;
+  ASSERT_TRUE(service::error_code_from_wire(r.response.error_code, &code));
+  EXPECT_EQ(code, api::ErrorCode::kBackendUnsupported);
+  EXPECT_NE(r.response.message.find("[op "), std::string::npos)
+      << r.response.message;
+  EXPECT_NE(r.response.message.find("config A]"), std::string::npos)
+      << r.response.message;
+
+  req.request_id = 7;
+  req.repeats = 1;
+  const auto ok = client.call(req);
+  ASSERT_TRUE(ok.transport_ok) << ok.transport_error;
+  EXPECT_EQ(ok.response.status, WireStatus::kOk);
 }
 
 TEST_F(ServiceRoundTrip, UnknownTenantAndRepeatsCapAreInvalidArgument) {

@@ -324,7 +324,6 @@ int run_soak(int argc, char** argv) {
     std::fprintf(stderr, "soak kernel missing its buffer contract\n");
     return 1;
   }
-  const bool native = info->native_backend();
   const std::vector<uint8_t> input = make_input(info->buffers.input_bytes);
 
   // Host-side reference: the same knobs through a local Session. The wire
@@ -334,8 +333,7 @@ int run_soak(int argc, char** argv) {
     api::Session local;
     auto r = local.request(kKernel)
                  .baseline()
-                 .backend(native ? api::ExecBackend::kNativeSwar
-                                 : api::ExecBackend::kSimulator)
+                 .backend(api::ExecBackend::kNativeSwar)
                  .input(std::span<const uint8_t>(input))
                  .output(std::span<uint8_t>(expected))
                  .run();
@@ -368,8 +366,8 @@ int run_soak(int argc, char** argv) {
   }
   const uint16_t port = server.port();
   std::printf("soak: %d connections x %d requests against 127.0.0.1:%u "
-              "(%s backend)\n",
-              connections, requests, port, native ? "native" : "sim");
+              "(native backend)\n",
+              connections, requests, port);
 
   // -- Phase 1: accept-all ----------------------------------------------------
   std::atomic<uint64_t> ok{0}, divergent{0}, api_errors{0}, transport{0};
@@ -391,8 +389,7 @@ int run_soak(int argc, char** argv) {
         service::WireRequest req;
         req.kernel = kKernel;
         req.mode = service::WireMode::kBaseline;
-        req.backend = native ? service::WireBackend::kNativeSwar
-                             : service::WireBackend::kSimulator;
+        req.backend = service::WireBackend::kNativeSwar;
         req.input = input;
         for (int i = 0; i < requests; ++i) {
           req.request_id =
